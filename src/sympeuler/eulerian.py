@@ -6,6 +6,16 @@ blow-up-style aborts are always reported as discretization failures,
 never as PDE blow-up). Diagnostics track the conserved quantities: L^2
 norm, constraint residual ||P(u)||, symplectic divergence in L^2/L^inf,
 and the BKM integrand/integral as a health check.
+
+The right-hand side runs through one skew-first real-FFT kernel
+(fast_rhs; fast_force is its B(u)-only entry, used by the geodesic
+equations). It forms only the upper entries of omega^T X - X^T omega,
+using that omega is a signed permutation: (omega^T X)_ij = sigma_i
+X_{p(i), j} with p(i) = i^1, sigma_i = -1 for even i and +1 for odd i.
+The compressibility-defect term is skipped when the cutoff ball holds no
+retained mode besides k = 0. The compositional chain in operators.py
+(constraint_force, advection_term, eulerian_rhs) is the reference oracle
+for the kernel and for the diagnostics record.
 """
 
 from __future__ import annotations
@@ -23,15 +33,8 @@ import numpy as np
 from .fields import VectorField
 from .grids import GridSpec
 from .interp import local_lagrange_sample
-from .operators import (
-    advection_term,
-    constraint_force,
-    jacobian,
-    omega_deformation,
-    project_symplectic,
-    symplectic_divergence,
-)
-from .spectral import lebesgue_norms, sobolev_norm
+from .operators import advection_term, constraint_force, project_symplectic
+from .spectral import _derivative_symbols, dealias_band, lebesgue_norms
 
 __all__ = [
     "DiscretizationFailure",
@@ -42,6 +45,7 @@ __all__ = [
     "cfl_timestep",
     "eulerian_rhs",
     "fast_rhs",
+    "fast_force",
     "rk4_step",
     "integrate",
     "IntegrationResult",
@@ -119,19 +123,54 @@ def eulerian_rhs(u: VectorField, cutoff_radius: float = 1.0) -> VectorField:
     return VectorField(u.grid, force.values - adv.values)
 
 
-class _RhsWorkspace:
-    """One fused real-FFT evaluation of B(u) - (u.grad)u.
+def _partner(i: int) -> int:
+    """p(i) = i^1: the symplectic partner of coordinate i."""
+    return i ^ 1
 
-    Same algebra as eulerian_rhs (the flux form enters as strain +
-    compressibility defect, an exact identity on the dealiased band) but
-    with all multiplier work done on rfft spectra and no intermediate
-    field objects; agrees with the compositional path to rounding.
+
+def _sign(i: int) -> float:
+    """sigma_i = omega[p(i), i]: -1 on first, +1 on second coordinates."""
+    return 1.0 if i % 2 else -1.0
+
+
+@functools.lru_cache(maxsize=4)
+def _work_buffers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scratch arrays (spec, phys, prod) shared by the kernel and the
+    diagnostics record, neither of which is reentrant.
+
+    spec (complex, half lattice) and phys hold u in rows [0, d), J in rows
+    [d, d + d^2) (row d + d*i + j is J_ij = d_j u_i) and grad div u in the
+    last d rows; prod holds (u.grad)u, then the strain and the defect skew
+    entries. Reusing them pays: a fresh multi-MiB FFT output costs about
+    as much as the transform itself.
+    """
+    d = grid.dim
+    half_shape = grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)
+    rows = 2 * d + d * d
+    return (np.empty((rows,) + half_shape, dtype=complex),
+            np.empty((rows,) + grid.shape),
+            np.empty((d * d,) + grid.shape))
+
+
+class _SkewKernel:
+    """B(u) - (u.grad)u, or B(u) alone, in one skew-first rfft pass.
+
+    Same algebra as eulerian_rhs: B(u) = Delta^{-1} ((div S) . omega) with
+    S = omega^T X - X^T omega, X = J.J (strain form, J_ij = d_j u_i) plus,
+    on the frequency ball chi, the compressibility defect X = u (x) grad
+    div u (strain + defect = flux form, exact on the dealiased band). Since
+    omega is a signed permutation, (omega^T X)_ij = sigma_i X_{p(i), j}
+    with p(i) = i^1, so only the d(d-1)/2 upper entries of S are formed,
+    in physical space, and the final omega contraction is a sign and an
+    index. Per call: one rfftn of u, one batched inverse transform of u, J
+    and (with the defect) grad div u, one batched rfftn of the advection
+    and skew entries, and one irfftn of the result. The defect term is
+    skipped when chi * Delta^{-1} vanishes on every retained mode (only
+    k = 0 lies in the ball, as on small boxes). The compositional chain in
+    operators.py is the reference these values are tested against.
     """
 
     def __init__(self, grid: GridSpec, cutoff_radius: float):
-        from .operators import symplectic_matrix
-        from .spectral import dealias_band
-
         self.grid = grid
         d = grid.dim
         npa = grid.points_per_axis
@@ -152,78 +191,157 @@ class _RhsWorkspace:
             k2 = k2 + (xi0 * kk) ** 2
             mask = mask & (np.abs(kk) <= band)
         self.mask = mask
-        self.chi = (k2 <= cutoff_radius**2).astype(float)
+        self.neg_mask = -mask.astype(float)
         with np.errstate(divide="ignore"):
-            inv = np.where(k2 > 0.0, 0.5 / np.where(k2 > 0.0, k2, 1.0), 0.0)
-        self.half_inv_lap = inv
-        self.omega = symplectic_matrix(grid.n)
-
-    def _ifft(self, hat: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(hat, s=self.grid.shape, axes=self.axes)
-
-    def _fft(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(values, axes=self.axes) * self.mask
-
-    def rhs_values(self, values: np.ndarray) -> np.ndarray:
-        grid, d, omega = self.grid, self.grid.dim, self.omega
-        hat = self._fft(values)
-        u = self._ifft(hat)
-        J = np.empty((d, d) + grid.shape)
+            inv_lap = np.where(k2 > 0.0, -1.0 / np.where(k2 > 0.0, k2, 1.0), 0.0)
+        chi = k2 <= cutoff_radius**2
+        self.pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        index = {pair: e for e, pair in enumerate(self.pairs)}
+        # B_j = sigma_j Delta^{-1} div_{p(j)} S, div_k S = sum_i d_i S_ik,
+        # S_ik = -S_ki; inv_lap is the symbol -1/|xi|^2 of Delta^{-1}
+        self.coef = []
         for j in range(d):
-            J[:, j] = self._ifft(hat * self.deriv[j])
-        adv_hat = self._fft(np.einsum("j...,ij...->i...", u, J))
-        m_hat = self._fft(np.einsum("kj...,ik...->ij...", J, J))
-        div_hat = sum(self.deriv[k] * hat[k] for k in range(d))
-        grad_div = np.empty((d,) + grid.shape)
+            q = _partner(j)
+            terms = []
+            for i in range(d):
+                if i == q:
+                    continue
+                e, sign = ((index[(i, q)], 1.0) if i < q
+                           else (index[(q, i)], -1.0))
+                terms.append(
+                    (e, _sign(j) * sign * inv_lap * mask * self.deriv[i]))
+            self.coef.append(terms)
+        self.defect = bool(np.any(chi & mask & (inv_lap != 0.0)))
+        self.chi = chi if self.defect else None
+
+    def _skew(self, out: np.ndarray, entry) -> None:
+        """Upper entries of omega^T X - X^T omega, given X_ab = entry(a, b)."""
+        for e, (i, j) in enumerate(self.pairs):
+            out[e] = (_sign(i) * entry(_partner(i), j)
+                      - _sign(j) * entry(_partner(j), i))
+
+    def __call__(self, values: np.ndarray, advect: bool) -> np.ndarray:
+        grid, d, n_pairs = self.grid, self.grid.dim, len(self.pairs)
+        spec, phys, prod = _work_buffers(grid)
+        n_inv = d + d * d + (d if self.defect else 0)
+        spec, phys = spec[:n_inv], phys[:n_inv]
+        hat = np.fft.rfftn(values, axes=self.axes, out=spec[:d])
+        hat *= self.mask
         for j in range(d):
-            grad_div[j] = self._ifft(self.deriv[j] * div_hat)
-        g_hat = self._fft(np.einsum("i...,j...->ij...", u, grad_div))
-        strain = (np.einsum("ki,kj...->ij...", omega, m_hat)
-                  - np.einsum("kj,ki...->ij...", omega, m_hat))
-        defect = (np.einsum("ki,kj...->ij...", omega, g_hat)
-                  - np.einsum("kj,ki...->ij...", omega, g_hat))
-        div_strain = self._skew_div(strain)
-        div_flux = div_strain + self._skew_div(defect)
-        mix = (1.0 - self.chi) * div_strain + self.chi * div_flux
-        b_hat = -2.0 * self.half_inv_lap * np.einsum("kj,k...->j...", omega, mix)
-        return self._ifft(b_hat - adv_hat)
+            np.multiply(hat, self.deriv[j], out=spec[d + j:d + d * d:d])
+        if self.defect:
+            div_hat = sum(self.deriv[k] * hat[k] for k in range(d))
+            for j in range(d):
+                np.multiply(self.deriv[j], div_hat, out=spec[d + d * d + j])
+        # the inverse batch in place: irfftn would allocate its complex
+        # intermediate afresh on every call
+        np.fft.ifftn(spec, axes=self.axes[:-1], out=spec)
+        np.fft.irfft(spec, n=grid.points_per_axis, axis=-1, out=phys)
+        u = phys[:d]
+        J = phys[d:d + d * d].reshape((d, d) + grid.shape)
 
-    def _skew_div(self, skew_hat: np.ndarray) -> np.ndarray:
-        d = self.grid.dim
-        return np.stack([
-            sum(self.deriv[i] * skew_hat[i, k] for i in range(d))
-            for k in range(d)
-        ])
+        prod = prod[:d + n_pairs * (2 if self.defect else 1)]
+        if advect:
+            for i in range(d):
+                np.einsum("j...,j...->...", u, J[i], out=prod[i])
+        self._skew(prod[d:d + n_pairs],
+                   lambda a, b: np.einsum("k...,k...->...", J[a], J[:, b]))
+        if self.defect:
+            g = phys[d + d * d:]
+            self._skew(prod[d + n_pairs:], lambda a, b: u[a] * g[b])
+        # spec is free again: it takes the forward spectra, and the
+        # advection rows become the output spectrum
+        prod_hat = spec[:len(prod)]
+        first = 0 if advect else d
+        np.fft.rfftn(prod[first:], axes=self.axes, out=prod_hat[first:])
+        skew_hat = prod_hat[d:d + n_pairs]
+        if self.defect:
+            skew_hat += self.chi * prod_hat[d + n_pairs:]
+        out = prod_hat[:d]
+        for j in range(d):
+            if advect:
+                out[j] *= self.neg_mask
+            else:
+                out[j] = 0.0
+            for e, c in self.coef[j]:
+                out[j] += c * skew_hat[e]
+        return np.fft.irfftn(out, s=grid.shape, axes=self.axes)
 
 
-@functools.lru_cache(maxsize=8)
-def _workspace(grid: GridSpec, cutoff_radius: float) -> _RhsWorkspace:
-    return _RhsWorkspace(grid, cutoff_radius)
+@functools.lru_cache(maxsize=4)
+def _kernel(grid: GridSpec, cutoff_radius: float) -> _SkewKernel:
+    return _SkewKernel(grid, cutoff_radius)
 
 
 def fast_rhs(u: VectorField, cutoff_radius: float = 1.0) -> VectorField:
-    """eulerian_rhs through the fused spectral path."""
-    ws = _workspace(u.grid, float(cutoff_radius))
-    return VectorField(u.grid, ws.rhs_values(u.values))
+    """eulerian_rhs through the skew-first spectral kernel."""
+    kernel = _kernel(u.grid, float(cutoff_radius))
+    return VectorField(u.grid, kernel(u.values, advect=True))
 
 
-def _grad_linf(u: VectorField) -> float:
-    J = jacobian(u)
-    return float(np.sqrt(np.max(np.einsum("ij...,ij...->...", J, J))))
+def fast_force(u: VectorField, cutoff_radius: float = 1.0) -> VectorField:
+    """constraint_force through the skew-first spectral kernel."""
+    kernel = _kernel(u.grid, float(cutoff_radius))
+    return VectorField(u.grid, kernel(u.values, advect=False))
+
+
+@functools.lru_cache(maxsize=8)
+def _half_derivative_symbols(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Nyquist-zeroed i*xi_j on the rfft half lattice (last axis cut)."""
+    cut = grid.points_per_axis // 2 + 1
+    return tuple(sym[..., :cut] for sym in _derivative_symbols(grid))
+
+
+@functools.lru_cache(maxsize=8)
+def _sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
+    """Parseval weights (1 + |xi|^2)^s on the half lattice, each column
+    counted with its Hermitian multiplicity (1 at k_last = 0, N/2; else 2)."""
+    cut = grid.points_per_axis // 2 + 1
+    mult = np.full(cut, 2.0)
+    mult[0] = mult[-1] = 1.0
+    weights = (1.0 + grid.frequency_squared[..., :cut]) ** s * mult
+    return weights * (grid.box_volume / grid.num_points**2)
 
 
 def diagnostics(state: EulerianState, s: float,
                 bkm_integral: float, prev: DiagnosticsRecord | None
                 ) -> DiagnosticsRecord:
     """Builds a record; the BKM integral is accumulated by trapezoid
-    between successive records (bkm_integral arg ignored when prev given)."""
+    between successive records (bkm_integral arg ignored when prev given).
+
+    One rfftn of u and one batched inverse transform of its Jacobian feed
+    every column: H^s by the half-spectrum Parseval sum, and the
+    deformation residual, the symplectic divergence and |grad u|_inf from
+    J. Records see un-dealiased fields, so the derivative symbols are the
+    Nyquist-zeroed ones of spectral.py, as in operators.jacobian.
+    """
     u = state.u
+    grid = u.grid
+    d = grid.dim
+    axes = tuple(range(-d, 0))
     l2, _ = lebesgue_norms(u)
-    hs = sobolev_norm(u, s)
-    p_res = sobolev_norm(omega_deformation(u), 0.0)
-    sdiv = symplectic_divergence(u)
-    sdiv_l2, sdiv_linf = lebesgue_norms(sdiv)
-    integrand = _grad_linf(u)
+    spec, phys, _ = _work_buffers(grid)
+    hat = np.fft.rfftn(u.values, axes=axes, out=spec[:d])
+    hs = math.sqrt(float(np.sum(_sobolev_weights(grid, s)
+                                * (hat.real**2 + hat.imag**2))))
+    deriv = _half_derivative_symbols(grid)
+    jac_hat = spec[d:d + d * d]
+    for j in range(d):
+        np.multiply(hat, deriv[j], out=jac_hat[j::d])
+    np.fft.ifftn(jac_hat, axes=axes[:-1], out=jac_hat)
+    J = np.fft.irfft(jac_hat, n=grid.points_per_axis, axis=-1,
+                     out=phys[d:d + d * d]).reshape((d, d) + grid.shape)
+    # P = omega^T J - J^T omega with (omega^T J)_ij = sigma_i J_{p(i), j};
+    # both triangles count in the Frobenius norm
+    p_sq = sum(float(np.sum((_sign(i) * J[_partner(i), j]
+                             - _sign(j) * J[_partner(j), i]) ** 2))
+               for i in range(d) for j in range(i + 1, d))
+    p_res = math.sqrt(2.0 * p_sq * grid.cell_volume)
+    sdiv = sum(J[2 * a, 2 * a + 1] - J[2 * a + 1, 2 * a]
+               for a in range(grid.n))
+    sdiv_l2 = math.sqrt(float(np.sum(sdiv**2)) * grid.cell_volume)
+    sdiv_linf = float(np.abs(sdiv).max())
+    integrand = float(np.sqrt(np.max(np.einsum("ij...,ij...->...", J, J))))
     if prev is None:
         integral = bkm_integral
     else:
@@ -261,10 +379,6 @@ class IntegrationResult:
     records: list[DiagnosticsRecord]
     trace: np.ndarray | None = None        # (steps+1, dim, n_points), unwrapped
     velocities: list[VectorField] | None = None
-
-    @property
-    def pair(self) -> tuple[EulerianState, list[DiagnosticsRecord]]:
-        return self.state, self.records
 
 
 def integrate(u0: VectorField, t_final: float, dt: float,

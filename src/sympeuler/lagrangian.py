@@ -13,11 +13,11 @@ import dataclasses
 
 import numpy as np
 
-from .eulerian import DiscretizationFailure, step_count
+from .eulerian import DiscretizationFailure, fast_force, step_count
 from .fields import ScalarField, VectorField
 from .grids import GridSpec
 from .interp import PeriodicInterpolator
-from .operators import constraint_force, jacobian, symplectic_matrix
+from .operators import jacobian, symplectic_matrix
 
 __all__ = [
     "DiffeoMap",
@@ -134,7 +134,7 @@ def geodesic_rhs(phi: DiffeoMap, v: VectorField, cutoff_radius: float = 1.0
                  ) -> tuple[VectorField, VectorField]:
     """(d phi/dt, dv/dt) = (v, B(v o phi^{-1}) o phi)."""
     u = compose(v, invert(phi))
-    force = constraint_force(u, cutoff_radius)
+    force = fast_force(u, cutoff_radius)
     return v, compose(force, phi)
 
 

@@ -11,8 +11,10 @@ from sympeuler.eulerian import (
     DiscretizationFailure,
     EulerianState,
     cfl_timestep,
+    diagnostics,
     dt_for_speed,
     eulerian_rhs,
+    fast_force,
     fast_rhs,
     integrate,
     rk4_step,
@@ -27,7 +29,13 @@ from sympeuler.initial_conditions import (
     random_vector,
     steady_shear,
 )
-from sympeuler.spectral import sobolev_norm
+from sympeuler.operators import (
+    constraint_force,
+    jacobian,
+    omega_deformation,
+    symplectic_divergence,
+)
+from sympeuler.spectral import lebesgue_norms, sobolev_norm
 
 
 def scaled(u, factor):
@@ -75,6 +83,82 @@ def test_fast_rhs_matches_compositional_4d(grid4d):
     b = fast_rhs(u, cutoff_radius=2.0)
     scale = max(np.max(np.abs(a.values)), 1.0)
     assert np.max(np.abs(a.values - b.values)) < 1e-12 * scale
+
+
+def test_fast_rhs_matches_compositional_small_box():
+    # on L=0.75 only k=0 lies in the unit ball, so the kernel skips the
+    # compressibility defect; the compositional chain still computes it
+    from sympeuler.eulerian import _kernel
+    grid = GridSpec(n=1, points_per_axis=64, box_length=0.75)
+    assert not _kernel(grid, 1.0).defect
+    for seed in range(2):
+        u = random_vector(grid, seed=42 + seed)
+        a = eulerian_rhs(u, cutoff_radius=1.0)
+        b = fast_rhs(u, cutoff_radius=1.0)
+        scale = max(np.max(np.abs(a.values)), 1.0)
+        assert np.max(np.abs(a.values - b.values)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0, 4.0])
+def test_fast_force_matches_constraint_force(grid64, radius):
+    for u in (random_vector(grid64, seed=43), random_symplectic(grid64, seed=44)):
+        a = constraint_force(u, radius)
+        b = fast_force(u, radius)
+        scale = max(np.max(np.abs(a.values)), 1.0)
+        assert np.max(np.abs(a.values - b.values)) < 1e-12 * scale
+
+
+def test_kernel_results_survive_later_calls(grid64):
+    # the kernel entries and the diagnostics share per-grid work buffers
+    u, w = random_vector(grid64, seed=46), random_symplectic(grid64, seed=47)
+    first = fast_rhs(u)
+    kept = first.values.copy()
+    fast_force(w, 2.0)
+    diagnostics(EulerianState(0.0, w), 3.0, 0.0, None)
+    assert np.array_equal(first.values, kept)
+    assert np.array_equal(fast_rhs(u).values, kept)
+
+
+# ---------------------------------------------------------------------------
+# diagnostics
+
+
+def reference_record(u, s):
+    """Diagnostics columns through the compositional operators."""
+    J = jacobian(u)
+    sdiv_l2, sdiv_linf = lebesgue_norms(symplectic_divergence(u))
+    return {
+        "l2": lebesgue_norms(u)[0],
+        "hs": sobolev_norm(u, s),
+        "p_residual": sobolev_norm(omega_deformation(u), 0.0),
+        "sdiv_l2": sdiv_l2,
+        "sdiv_linf": sdiv_linf,
+        "bkm_integrand": float(np.sqrt(np.max(np.sum(J * J, axis=(0, 1))))),
+    }
+
+
+@pytest.mark.parametrize("grid", [GridSpec(n=1, points_per_axis=64),
+                                  GridSpec(n=1, points_per_axis=32,
+                                           box_length=0.75),
+                                  GridSpec(n=2, points_per_axis=16)],
+                         ids=["2d", "2d-small-box", "4d"])
+@pytest.mark.parametrize("kind", ["generic", "symplectic", "rough"])
+def test_diagnostics_match_operators(grid, kind):
+    if kind == "rough":
+        # white noise: records see un-dealiased fields, Nyquist modes included
+        rng = np.random.default_rng(45)
+        u = VectorField(grid, rng.standard_normal((grid.dim,) + grid.shape))
+    else:
+        draw = random_vector if kind == "generic" else random_symplectic
+        u = draw(grid, seed=45)
+    rec = diagnostics(EulerianState(0.0, u), 3.0, 0.0, None)
+    # on symplectic data P(u) is rounding noise in both computations
+    floor = 1e-12 * sobolev_norm(u, 1.0) if kind == "symplectic" else 0.0
+    for name, want in reference_record(u, 3.0).items():
+        atol = floor if name == "p_residual" else 0.0
+        assert abs(getattr(rec, name) - want) <= 1e-12 * abs(want) + atol, name
+    if kind != "symplectic":
+        assert rec.p_residual > 0.1 * sobolev_norm(u, 1.0)
 
 
 # ---------------------------------------------------------------------------
