@@ -23,16 +23,18 @@ from .config import (
     parse_run_config,
 )
 from .eulerian import (
+    DIAGNOSTIC_COLUMNS,
     DiscretizationFailure,
     EulerianState,
     cfl_timestep,
     diagnostics,
     integrate,
+    step_count,
     write_diagnostics_csv,
 )
 from .experiments import (
     ResolutionGuardError,
-    _atomic_write_text,
+    _write_json,
     build_nonuniform_config,
     oracle_2d_solve,
     probe_report,
@@ -89,17 +91,26 @@ def _out_dir(args) -> str:
     return out
 
 
-def _timestep(cfg: RunConfig, u0: VectorField) -> float:
-    if cfg.dt is not None:
-        return cfg.dt
-    return cfl_timestep(u0, cfg.t_final, cfg.cfl)
+def _check_divides(key: str, dt: float, t_final: float) -> None:
+    """A configured step must split the run's horizon into whole steps."""
+    try:
+        step_count(t_final, dt)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _timestep(cfg: RunConfig, u0: VectorField, t_final: float) -> float:
+    if cfg.dt is None:
+        return cfl_timestep(u0, t_final, cfg.cfl)
+    _check_divides("time.dt", cfg.dt, t_final)
+    return cfg.dt
 
 
 def cmd_run_eulerian(args) -> int:
     cfg = _load(args)
     u0 = build_initial_condition(cfg)
     out = _out_dir(args)
-    dt = _timestep(cfg, u0)
+    dt = _timestep(cfg, u0, cfg.t_final)
     result = integrate(
         u0, cfg.t_final, dt, cutoff_radius=cfg.cutoff_radius,
         diag_every=cfg.diag_every, s=cfg.s,
@@ -115,7 +126,10 @@ def cmd_run_eulerian(args) -> int:
 
 def cmd_run_lagrangian(args) -> int:
     cfg = _load(args)
+    _check_divides("lagrangian.dt", cfg.lagrangian_dt, cfg.t_final)
     u0 = build_initial_condition(cfg)
+    if args.check_equivalence:
+        dt = _timestep(cfg, u0, cfg.t_final)
     out = _out_dir(args)
     state = geodesic_integrate(u0, cfg.t_final, cfg.lagrangian_dt,
                                cutoff_radius=cfg.cutoff_radius)
@@ -130,8 +144,10 @@ def cmd_run_lagrangian(args) -> int:
         rows.append(rec)
         residuals.append(symplectic_residual(phi))
 
-    csv_path = os.path.join(out, "diagnostics.csv")
-    _write_lagrangian_csv(csv_path, rows, residuals)
+    write_diagnostics_csv(
+        os.path.join(out, "diagnostics.csv"),
+        [r.row() + (q,) for r, q in zip(rows, residuals)],
+        columns=DIAGNOSTIC_COLUMNS + ("symplectic_residual",))
     if cfg.snapshot:
         write_snapshot(os.path.join(out, "phi.snap"), state.phi)
         write_snapshot(os.path.join(out, cfg.snapshot), state.v)
@@ -139,7 +155,6 @@ def cmd_run_lagrangian(args) -> int:
     _say(args, f"t={state.t:.6g} symplectic_residual={residuals[-1]:.6g}")
     status = EXIT_OK
     if args.check_equivalence:
-        dt = _timestep(cfg, u0)
         eres = integrate(u0, cfg.t_final, dt, cutoff_radius=cfg.cutoff_radius,
                          diag_every=10 ** 9, s=cfg.s)
         diff = VectorField(cfg.grid,
@@ -157,22 +172,9 @@ def cmd_run_lagrangian(args) -> int:
     return status
 
 
-def _write_lagrangian_csv(path, rows, residuals) -> None:
-    class _Row:
-        def __init__(self, rec, res):
-            self._vals = rec.row() + (res,)
-
-        def row(self):
-            return self._vals
-
-    from .eulerian import DIAGNOSTIC_COLUMNS
-    cols = DIAGNOSTIC_COLUMNS + ("symplectic_residual",)
-    write_diagnostics_csv(path, [_Row(r, q) for r, q in zip(rows, residuals)],
-                          columns=cols)
-
-
 def cmd_exp_map(args) -> int:
     cfg = _load(args)
+    _check_divides("lagrangian.dt", cfg.lagrangian_dt, 1.0)
     u0 = build_initial_condition(cfg)
     out = _out_dir(args)
     phi = exp_map(u0, dt=cfg.lagrangian_dt, cutoff_radius=cfg.cutoff_radius)
@@ -218,8 +220,7 @@ def cmd_experiment(args) -> int:
             u0 = random_symplectic(cfg.grid, seed=seed,
                                    decay=esec.get("decay", 0.8), s=cfg.s,
                                    norm=esec.get("norm", 1.0))
-            dt = (cfg.dt if cfg.dt is not None
-                  else cfl_timestep(u0, t_final, cfg.cfl))
+            dt = _timestep(cfg, u0, t_final)
             ours = integrate(u0, t_final, dt,
                              cutoff_radius=cfg.cutoff_radius,
                              diag_every=10 ** 9, s=cfg.s).state.u
@@ -234,9 +235,7 @@ def cmd_experiment(args) -> int:
         return EXIT_OK
     if args.kind == "probes":
         report = probe_report(s=cfg.s)
-        path = os.path.join(out, "probes.json")
-        _atomic_write_text(path, json.dumps(report, indent=2,
-                                            sort_keys=True) + "\n")
+        _write_json(os.path.join(out, "probes.json"), report)
         for name, block in report.items():
             _say(args, f"{name}: constant={block['constant']:.6g} "
                        f"stability={block['stability']:.4f}")

@@ -16,6 +16,11 @@ The compressibility-defect term is skipped when the cutoff ball holds no
 retained mode besides k = 0. The compositional chain in operators.py
 (constraint_force, advection_term, eulerian_rhs) is the reference oracle
 for the kernel and for the diagnostics record.
+
+rk4 is the one RK4 step of the package: integrate, the geodesic
+integrator and the flow-map reconstruction in lagrangian.py all call it.
+_atomic_write (temp file plus rename) is the one writer behind every
+output file: the diagnostics CSV, snapshots and JSON sidecars.
 """
 
 from __future__ import annotations
@@ -23,9 +28,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import io
 import math
 import os
-import tempfile
+import secrets
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,7 +52,7 @@ __all__ = [
     "eulerian_rhs",
     "fast_rhs",
     "fast_force",
-    "rk4_step",
+    "rk4",
     "integrate",
     "IntegrationResult",
     "write_diagnostics_csv",
@@ -351,26 +357,26 @@ def diagnostics(state: EulerianState, s: float,
                              integrand, integral)
 
 
-def _check_finite(t: float, values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
-        raise DiscretizationFailure(t, "NaN/Inf in velocity field")
+def _check_finite(t: float, arrays: Sequence[np.ndarray],
+                  what: str = "velocity field") -> None:
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise DiscretizationFailure(t, f"NaN/Inf in {what}")
 
 
-def rk4_step(state: EulerianState, dt: float, cutoff_radius: float = 1.0,
-             rhs: Callable[[VectorField], VectorField] | None = None
-             ) -> EulerianState:
-    if rhs is None:
-        rhs = lambda w: fast_rhs(w, cutoff_radius)
-    grid = state.u.grid
-    u = state.u
-    k1 = rhs(u)
-    k2 = rhs(VectorField(grid, u.values + 0.5 * dt * k1.values))
-    k3 = rhs(VectorField(grid, u.values + 0.5 * dt * k2.values))
-    k4 = rhs(VectorField(grid, u.values + dt * k3.values))
-    new_values = u.values + (dt / 6.0) * (
-        k1.values + 2.0 * k2.values + 2.0 * k3.values + k4.values)
-    _check_finite(state.t + dt, new_values)
-    return EulerianState(state.t + dt, VectorField(grid, new_values))
+def rk4(rhs: Callable[[float, tuple], tuple], y: tuple, dt: float) -> tuple:
+    """One classical RK4 step of the system y' = f(t, y), y a tuple of arrays.
+
+    rhs(c, y) returns the tuple of derivatives at the stage whose time
+    offset is c * dt, c in {0, 1/2, 1/2, 1}. The Eulerian, geodesic and
+    flow-map loops all step through here, so the two formulations are
+    integrated by the same arithmetic.
+    """
+    k1 = rhs(0.0, y)
+    k2 = rhs(0.5, tuple(a + 0.5 * dt * k for a, k in zip(y, k1)))
+    k3 = rhs(0.5, tuple(a + 0.5 * dt * k for a, k in zip(y, k2)))
+    k4 = rhs(1.0, tuple(a + dt * k for a, k in zip(y, k3)))
+    return tuple(a + (dt / 6.0) * (p + 2.0 * q + 2.0 * r + w)
+                 for a, p, q, r, w in zip(y, k1, k2, k3, k4))
 
 
 @dataclasses.dataclass
@@ -395,7 +401,7 @@ def integrate(u0: VectorField, t_final: float, dt: float,
     """
     grid = u0.grid
     steps = step_count(t_final, dt)
-    _check_finite(0.0, u0.values)
+    _check_finite(0.0, (u0.values,))
     state = EulerianState(0.0, u0)
     rec = diagnostics(state, s, 0.0, None)
     records = [rec]
@@ -408,33 +414,23 @@ def integrate(u0: VectorField, t_final: float, dt: float,
         trace[0] = pts
     velocities = [u0] if record_velocity else None
 
-    rhs = lambda w: fast_rhs(w, cutoff_radius)
-    for step in range(1, steps + 1):
-        u = state.u
-        k1 = rhs(u)
-        u2 = VectorField(grid, u.values + 0.5 * dt * k1.values)
-        k2 = rhs(u2)
-        u3 = VectorField(grid, u.values + 0.5 * dt * k2.values)
-        k3 = rhs(u3)
-        u4 = VectorField(grid, u.values + dt * k3.values)
-        k4 = rhs(u4)
-        new_values = u.values + (dt / 6.0) * (
-            k1.values + 2.0 * k2.values + 2.0 * k3.values + k4.values)
-        _check_finite(state.t + dt, new_values)
+    def rhs(c, y):
+        k = (fast_rhs(VectorField(grid, y[0]), cutoff_radius).values,)
         if tracing:
             # positions move through the same stage fields (coupled RK4)
-            p1 = local_lagrange_sample(grid, u.values, pts % grid.box_length)
-            q2 = (pts + 0.5 * dt * p1) % grid.box_length
-            p2 = local_lagrange_sample(grid, u2.values, q2)
-            q3 = (pts + 0.5 * dt * p2) % grid.box_length
-            p3 = local_lagrange_sample(grid, u3.values, q3)
-            q4 = (pts + dt * p3) % grid.box_length
-            p4 = local_lagrange_sample(grid, u4.values, q4)
-            pts = pts + (dt / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-            trace[step] = pts
-        new_u = VectorField(grid, new_values)
+            k += (local_lagrange_sample(grid, y[0], y[1] % grid.box_length),)
+        return k
+
+    y = (u0.values, pts) if tracing else (u0.values,)
+    for step in range(1, steps + 1):
+        y = rk4(rhs, y, dt)
+        _check_finite(step * dt, y)
+        new_u = VectorField(grid, y[0])
         if project_every and step % project_every == 0:
             new_u = project_symplectic(new_u)
+            y = (new_u.values,) + y[1:]
+        if tracing:
+            trace[step] = y[1]
         state = EulerianState(step * dt, new_u)
         if record_velocity:
             velocities.append(state.u)
@@ -446,26 +442,37 @@ def integrate(u0: VectorField, t_final: float, dt: float,
                     state.t, "H^s norm exceeded 1e6 x initial")
 
     if csv_path is not None:
-        write_diagnostics_csv(csv_path, records)
+        write_diagnostics_csv(csv_path, [r.row() for r in records])
     return IntegrationResult(state, records,
                              trace if tracing else None, velocities)
 
 
-def write_diagnostics_csv(path: str | os.PathLike,
-                          records: Sequence[DiagnosticsRecord],
-                          columns: Sequence[str] = DIAGNOSTIC_COLUMNS) -> None:
-    """Atomic CSV write (temp file + rename); floats via repr round-trip."""
+def _atomic_write(path: str | os.PathLike, *chunks) -> None:
+    """Writes the bytes-like chunks (bytes, C-contiguous arrays) to path
+    through a temp file and a rename, so readers see the old file or the
+    new one, never a torn write. The temp file is created with mode 0o666,
+    so the process umask applies as it does for open()."""
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               suffix=".csv.tmp")
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for r in records:
-                writer.writerow([repr(float(x)) for x in r.row()])
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_diagnostics_csv(path: str | os.PathLike,
+                          rows: Sequence[Sequence[float]],
+                          columns: Sequence[str] = DIAGNOSTIC_COLUMNS) -> None:
+    """Atomic CSV write of number tuples; floats via repr round-trip."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([repr(float(x)) for x in row])
+    _atomic_write(path, buf.getvalue().encode("utf-8"))

@@ -19,12 +19,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
-import tempfile
 
 import numpy as np
 
 from .eulerian import (
+    _atomic_write,
     cfl_timestep,
     dt_for_speed,
     integrate,
@@ -43,7 +42,13 @@ from .initial_conditions import (
     scale_to_sobolev,
     trig_potential,
 )
-from .lagrangian import DiffeoMap, compose, flow_from_velocity, invert
+from .lagrangian import (
+    DiffeoMap,
+    _max_spectral_norm,
+    compose,
+    flow_from_velocity,
+    invert,
+)
 from .operators import (
     riesz_commutator_ratio,
     symplectic_divergence,
@@ -60,7 +65,6 @@ from .spectral import (
 
 __all__ = [
     "ResolutionGuardError",
-    "build_bump_potential",
     "oracle_2d_solve",
     "disjoint_support_probe",
     "log_estimate_probe",
@@ -81,18 +85,14 @@ class ResolutionGuardError(RuntimeError):
     """Requested scales cannot be resolved on the given grid."""
 
 
-def build_bump_potential(center, radius: float, grid: GridSpec) -> ScalarField:
-    """Smooth compactly supported bump; radius must be < box_length/4."""
-    return bump(grid, center, radius)
-
-
 # ---------------------------------------------------------------------------
 # 2D Euler oracle (n = 1)
 
 
 def oracle_2d_solve(u0: VectorField, t_final: float, dt: float) -> VectorField:
     """Vorticity-stream pseudo-spectral 2D Euler; independent of the
-    constraint-force code path."""
+    constraint-force code path, and stepped by its own RK4 loop rather
+    than eulerian.rk4, so a fault there cannot hide in both."""
     grid = u0.grid
     if grid.n != 1:
         raise ValueError("oracle is specific to n=1 (two dimensions)")
@@ -292,7 +292,7 @@ def find_probe_direction(u_star: VectorField, candidates, epsilon: float,
         raise RuntimeError("all candidates gave derivative below 1e-6; "
                            "pick a different base point")
     # tie-break toward the box center (keeps experiment data central)
-    coords = np.stack(np.broadcast_arrays(*grid.coordinate_arrays()))
+    coords = grid.coordinate_stack()
     tied = mag >= m_star * (1.0 - 1e-12)
     center = grid.box_length / 2.0
     dist2 = np.sum((coords - center) ** 2, axis=0)
@@ -339,33 +339,16 @@ class NonuniformReport:
                "separation", "r_k")
 
     def write_csv(self, path) -> None:
-        records = [_RowAdapter(r) for r in self.rows]
-        write_diagnostics_csv(path, records, columns=self.COLUMNS)
+        rows = [tuple(getattr(r, c) for c in self.COLUMNS) for r in self.rows]
+        write_diagnostics_csv(path, rows, columns=self.COLUMNS)
 
     def write_json(self, path) -> None:
-        payload = json.dumps(self.constants, indent=2, sort_keys=True)
-        _atomic_write_text(path, payload + "\n")
+        _write_json(path, self.constants)
 
 
-class _RowAdapter:
-    def __init__(self, row: NonuniformRow):
-        self._row = row
-
-    def row(self):
-        return tuple(getattr(self._row, c) for c in NonuniformReport.COLUMNS)
-
-
-def _atomic_write_text(path, text: str) -> None:
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write_json(path, payload: dict) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _atomic_write(path, text.encode("utf-8"))
 
 
 def _candidate_builders(s: float):
@@ -385,14 +368,6 @@ def _candidate_builders(s: float):
             ("trig_diag", trig)]
 
 
-def _flow_lipschitz(phi: DiffeoMap) -> float:
-    """Max over grid points of the spectral norm of d(phi) = I + d(disp)."""
-    J = phi.jacobian_matrix()
-    d = J.shape[0]
-    mats = np.moveaxis(J.reshape(d, d, -1), -1, 0)
-    return float(np.linalg.svd(mats, compute_uv=False)[:, 0].max())
-
-
 def _measure_constants(u_star: VectorField, R: float, s: float, seed: int,
                        w_star: VectorField, delta: VectorField,
                        exp_evaluator, exp_evaluator_fine=None) -> dict:
@@ -407,8 +382,10 @@ def _measure_constants(u_star: VectorField, R: float, s: float, seed: int,
     map_w = exp_evaluator(p_w)
     map_d = exp_evaluator(p_d)
 
-    # C2: Lipschitz constant of the flow maps themselves
-    c2 = max(_flow_lipschitz(m) for m in (center_map, map_w, map_d))
+    # C2: Lipschitz constant of the flow maps themselves, the largest
+    # spectral norm of d(phi) = I + d(disp)
+    c2 = max(_max_spectral_norm(m.jacobian_matrix())
+             for m in (center_map, map_w, map_d))
 
     # C1: norm equivalence under composition with phi^{-1}; the boosted
     # map is near a rigid translation, so include the deformed one too

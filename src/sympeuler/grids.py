@@ -66,6 +66,10 @@ class GridSpec:
             np.meshgrid(*([self.axis_coordinates] * self.dim), indexing="ij", sparse=True)
         )
 
+    def coordinate_stack(self) -> np.ndarray:
+        """Dense physical coordinates stacked as (dim, *shape)."""
+        return np.stack(np.broadcast_arrays(*self.coordinate_arrays()))
+
     @functools.cached_property
     def axis_frequencies(self) -> np.ndarray:
         """Angular frequencies along a single axis, in FFT order."""

@@ -16,6 +16,9 @@ from .spectral import spectral_upsample
 
 __all__ = ["PeriodicInterpolator", "local_lagrange_sample"]
 
+_UPSAMPLE = 2       # spectral refinement factor before the spline fit
+_SPLINE_ORDER = 5   # quintic B-splines
+
 
 class PeriodicInterpolator:
     """Evaluates stacked periodic grid data at arbitrary physical points.
@@ -24,22 +27,20 @@ class PeriodicInterpolator:
     shape (dim, *tail) to outputs of shape (*lead, *tail).
     """
 
-    def __init__(self, grid: GridSpec, values: np.ndarray, upsample: int = 2,
-                 order: int = 5):
+    def __init__(self, grid: GridSpec, values: np.ndarray):
         if values.shape[-grid.dim:] != grid.shape:
             raise ValueError("values shape does not end with the grid shape")
         self.grid = grid
-        self.order = order
         self._lead = values.shape[:-grid.dim]
-        fine = spectral_upsample(values, grid, factor=upsample)
+        fine = spectral_upsample(values, grid, factor=_UPSAMPLE)
         fine_spatial = fine.shape[len(self._lead):]
         flat = fine.reshape((-1,) + fine_spatial)
         self._coeffs = [
-            ndimage.spline_filter(comp, order=order, mode="grid-wrap")
+            ndimage.spline_filter(comp, order=_SPLINE_ORDER, mode="grid-wrap")
             for comp in flat
         ]
         # physical coordinate -> fractional index on the fine grid
-        self._scale = (grid.points_per_axis * upsample) / grid.box_length
+        self._scale = (grid.points_per_axis * _UPSAMPLE) / grid.box_length
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -48,7 +49,7 @@ class PeriodicInterpolator:
         tail = points.shape[1:]
         idx = points.reshape(self.grid.dim, -1) * self._scale
         out = np.stack([
-            ndimage.map_coordinates(c, idx, order=self.order,
+            ndimage.map_coordinates(c, idx, order=_SPLINE_ORDER,
                                     mode="grid-wrap", prefilter=False)
             for c in self._coeffs
         ])

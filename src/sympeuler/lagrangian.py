@@ -1,10 +1,12 @@
 """Flow maps on the periodic box and the geodesic form of the equations.
 
 A map is stored as identity-plus-displacement; composition and inversion
-work through periodic interpolation. The geodesic vector field on
-(map, velocity) pairs is (v, B(v o phi^{-1}) o phi), integrated with the
-same RK4 as the Eulerian side so the two formulations can be compared
-step-for-step.
+work through periodic interpolation (spectral upsampling, then quintic
+B-splines). The geodesic vector field on (map, velocity) pairs is
+(v, B(v o phi^{-1}) o phi). It, and the reconstruction of a flow map
+from stored Eulerian velocities, step through eulerian.rk4, the stepper
+of the Eulerian integrator, so the two formulations are integrated by the
+same arithmetic and can be compared step for step.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ import dataclasses
 
 import numpy as np
 
-from .eulerian import DiscretizationFailure, fast_force, step_count
+from .eulerian import _check_finite, fast_force, rk4, step_count
 from .fields import ScalarField, VectorField
 from .grids import GridSpec
-from .interp import PeriodicInterpolator
+from .interp import PeriodicInterpolator, _lagrange_weights
 from .operators import jacobian, symplectic_matrix
 
 __all__ = [
@@ -58,8 +60,7 @@ class DiffeoMap:
 
     def positions(self) -> np.ndarray:
         """Image points (dim, *shape), not wrapped."""
-        coords = np.stack(np.broadcast_arrays(*self.grid.coordinate_arrays()))
-        return coords + self.displacement.values
+        return self.grid.coordinate_stack() + self.displacement.values
 
     def jacobian_matrix(self) -> np.ndarray:
         """d phi = I + d(displacement), shape (dim, dim, *shape)."""
@@ -70,14 +71,21 @@ class DiffeoMap:
 
     def displacement_gradient_norm(self) -> float:
         """Max over grid points of the spectral norm of d(displacement)."""
-        J = jacobian(self.displacement)
-        stack = np.moveaxis(J.reshape(J.shape[:2] + (-1,)), -1, 0)
-        return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max())
+        return _max_spectral_norm(jacobian(self.displacement))
 
     def det_jacobian(self) -> np.ndarray:
-        J = self.jacobian_matrix()
-        stack = np.moveaxis(J.reshape(J.shape[:2] + (-1,)), -1, 0)
+        stack = _matrix_stack(self.jacobian_matrix())
         return np.linalg.det(stack).reshape(self.grid.shape)
+
+
+def _matrix_stack(J: np.ndarray) -> np.ndarray:
+    """(d, d, *shape) matrix field -> (points, d, d), one matrix per point."""
+    return np.moveaxis(J.reshape(J.shape[:2] + (-1,)), -1, 0)
+
+
+def _max_spectral_norm(J: np.ndarray) -> float:
+    """Max over grid points of the spectral norm of a (d, d, *shape) field."""
+    return float(np.linalg.svd(_matrix_stack(J), compute_uv=False)[:, 0].max())
 
 
 @dataclasses.dataclass
@@ -108,7 +116,7 @@ def invert(phi: DiffeoMap, tol: float = 1e-10, max_iter: int = 200) -> DiffeoMap
         raise InversionError(
             f"displacement gradient norm {contraction:.3f} >= 1")
     grid = phi.grid
-    coords = np.stack(np.broadcast_arrays(*grid.coordinate_arrays()))
+    coords = grid.coordinate_stack()
     interp = PeriodicInterpolator(grid, phi.displacement.values)
     psi = -phi.displacement.values
     for _ in range(max_iter):
@@ -143,41 +151,25 @@ def geodesic_integrate(u0: VectorField, t_final: float, dt: float,
     """RK4 on the coupled (phi, v) system from (id, u0)."""
     grid = u0.grid
     steps = step_count(t_final, dt)
-    disp = np.zeros((grid.dim,) + grid.shape)
-    v = u0.values.copy()
 
-    def rhs(d_vals, v_vals):
-        phi = DiffeoMap(grid, VectorField(grid, d_vals))
-        dphi, dv = geodesic_rhs(phi, VectorField(grid, v_vals), cutoff_radius)
+    def rhs(c, y):
+        phi = DiffeoMap(grid, VectorField(grid, y[0]))
+        dphi, dv = geodesic_rhs(phi, VectorField(grid, y[1]), cutoff_radius)
         return dphi.values, dv.values
 
+    y = (np.zeros((grid.dim,) + grid.shape), u0.values)
     for step in range(1, steps + 1):
-        a1, b1 = rhs(disp, v)
-        a2, b2 = rhs(disp + 0.5 * dt * a1, v + 0.5 * dt * b1)
-        a3, b3 = rhs(disp + 0.5 * dt * a2, v + 0.5 * dt * b2)
-        a4, b4 = rhs(disp + dt * a3, v + dt * b3)
-        disp = disp + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        v = v + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        if not (np.all(np.isfinite(disp)) and np.all(np.isfinite(v))):
-            raise DiscretizationFailure(step * dt, "NaN/Inf in geodesic state")
+        y = rk4(rhs, y, dt)
+        _check_finite(step * dt, y, "geodesic state")
     return GeodesicState(steps * dt,
-                         DiffeoMap(grid, VectorField(grid, disp)),
-                         VectorField(grid, v))
+                         DiffeoMap(grid, VectorField(grid, y[0])),
+                         VectorField(grid, y[1]))
 
 
 def exp_map(u0: VectorField, dt: float = 0.01,
             cutoff_radius: float = 1.0) -> DiffeoMap:
     """Time-1 geodesic flow map from the identity with velocity u0."""
     return geodesic_integrate(u0, 1.0, dt, cutoff_radius).phi
-
-
-def _time_weights(tau: float, nodes: np.ndarray) -> np.ndarray:
-    w = np.ones(len(nodes))
-    for j in range(len(nodes)):
-        for m in range(len(nodes)):
-            if m != j:
-                w[j] *= (tau - nodes[m]) / (nodes[j] - nodes[m])
-    return w
 
 
 def flow_from_velocity(velocities: list[VectorField], dt: float) -> DiffeoMap:
@@ -190,30 +182,25 @@ def flow_from_velocity(velocities: list[VectorField], dt: float) -> DiffeoMap:
         raise ValueError("need at least two velocity samples")
     grid = velocities[0].grid
     steps = len(velocities) - 1
-    coords = np.stack(np.broadcast_arrays(*grid.coordinate_arrays()))
-    pts = coords.copy()
-
-    def interp_of(values) -> PeriodicInterpolator:
-        return PeriodicInterpolator(grid, values)
+    coords = grid.coordinate_stack()
 
     def half_field(i: int) -> np.ndarray:
         base = min(max(i - 1, 0), max(steps - 3, 0))
-        nodes = np.arange(base, min(base + 4, steps + 1))
-        w = _time_weights(i + 0.5, nodes.astype(float))
-        return sum(w[j] * velocities[int(nodes[j])].values
-                   for j in range(len(nodes)))
+        count = min(4, steps + 1 - base)
+        w = _lagrange_weights(np.asarray(i + 0.5 - base), count)
+        return sum(w[j] * velocities[base + j].values for j in range(count))
 
-    cur = interp_of(velocities[0].values)
+    def rhs(c, y):
+        # the stage offset picks the field: u(t_i), u(t_i + dt/2), u(t_i + dt)
+        field = {0.0: cur, 0.5: mid, 1.0: nxt}[c]
+        return (field(y[0] % grid.box_length),)
+
+    y = (coords,)
+    cur = PeriodicInterpolator(grid, velocities[0].values)
     for i in range(steps):
-        mid = interp_of(half_field(i))
-        nxt = interp_of(velocities[i + 1].values)
-        L = grid.box_length
-        k1 = cur(pts % L)
-        k2 = mid((pts + 0.5 * dt * k1) % L)
-        k3 = mid((pts + 0.5 * dt * k2) % L)
-        k4 = nxt((pts + dt * k3) % L)
-        pts = pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(pts)):
-            raise DiscretizationFailure((i + 1) * dt, "NaN/Inf in flow map")
+        mid = PeriodicInterpolator(grid, half_field(i))
+        nxt = PeriodicInterpolator(grid, velocities[i + 1].values)
+        y = rk4(rhs, y, dt)
+        _check_finite((i + 1) * dt, y, "flow map")
         cur = nxt
-    return DiffeoMap(grid, VectorField(grid, pts - coords))
+    return DiffeoMap(grid, VectorField(grid, y[0] - coords))

@@ -10,11 +10,10 @@ physical representation with a map=true header flag.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 
 import numpy as np
 
+from .eulerian import _atomic_write
 from .fields import ScalarField, VectorField
 from .grids import GridSpec
 from .lagrangian import DiffeoMap
@@ -75,19 +74,8 @@ def write_snapshot(path, obj, representation: str = "physical") -> None:
             blocks.append(np.ascontiguousarray(hat.real, dtype=_LE64))
             blocks.append(np.ascontiguousarray(hat.imag, dtype=_LE64))
 
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               suffix=".snap.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-            for block in blocks:
-                fh.write(block.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    head = (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
+    _atomic_write(path, head, *blocks)
 
 
 def read_snapshot(path):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+import sympeuler
 from sympeuler.cli import main
 from sympeuler.config import (
     ConfigError,
@@ -266,6 +268,48 @@ def test_cli_numerical_failure_exit_3(tmp_path, capsys):
     assert payload["exit_code"] == 3
 
 
+def config_error_of(capsys, *argv):
+    """Runs the CLI, expects exit 2, returns the JSON error message."""
+    assert run_cli(*argv) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "ConfigError"
+    assert payload["exit_code"] == 2
+    return payload["message"]
+
+
+def test_cli_eulerian_dt_must_divide_t_final(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"grid": {"points_per_axis": 32},
+                               "time": {"t_final": 1.0, "dt": 0.3}})
+    out = tmp_path / "out"
+    message = config_error_of(capsys, "run-eulerian", "--config", cfg,
+                              "--out", str(out))
+    assert message.startswith("time.dt:")
+    assert not (out / "diagnostics.csv").exists()
+
+
+def test_cli_lagrangian_dt_must_divide_t_final(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"grid": {"points_per_axis": 32},
+                               "time": {"t_final": 1.0, "cfl": 0.5},
+                               "lagrangian": {"dt": 0.3}})
+    out = tmp_path / "out"
+    message = config_error_of(capsys, "run-lagrangian", "--config", cfg,
+                              "--out", str(out))
+    assert message.startswith("lagrangian.dt:")
+    assert not (out / "diagnostics.csv").exists()
+
+
+def test_cli_exp_map_dt_must_divide_one(tmp_path, capsys):
+    # exp-map always integrates to T = 1, whatever time.t_final says
+    cfg = write_cfg(tmp_path, {"grid": {"points_per_axis": 32},
+                               "time": {"t_final": 0.6, "cfl": 0.5},
+                               "lagrangian": {"dt": 0.3}})
+    out = tmp_path / "out"
+    message = config_error_of(capsys, "exp-map", "--config", cfg,
+                              "--out", str(out))
+    assert message.startswith("lagrangian.dt:")
+    assert not (out / "phi.snap").exists()
+
+
 def test_cli_resolution_guard_exit_4(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
         "grid": {"points_per_axis": 48, "box_length": 0.75},
@@ -386,7 +430,11 @@ def test_cli_verify_single_criterion(capsys):
 
 
 def test_cli_module_entry_point():
+    # the child imports the package from where this process found it
+    src = os.path.dirname(os.path.dirname(sympeuler.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "sympeuler.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "run-eulerian" in proc.stdout

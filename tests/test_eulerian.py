@@ -1,9 +1,14 @@
 """Eulerian RK4 integrator: fixed points, order, conservation, failure modes."""
 
 import csv
+import importlib
+import os
+import pkgutil
 
 import numpy as np
 import pytest
+
+import sympeuler
 
 from conftest import rel_err
 from sympeuler.eulerian import (
@@ -17,7 +22,7 @@ from sympeuler.eulerian import (
     fast_force,
     fast_rhs,
     integrate,
-    rk4_step,
+    rk4,
     step_count,
     write_diagnostics_csv,
 )
@@ -185,13 +190,36 @@ def test_cfl_timestep_zero_field(grid32):
     assert cfl_timestep(z, 1.0) == 1.0
 
 
+def test_rk4_matches_taylor_polynomial():
+    # one step of y' = lam y multiplies y by the degree-4 Taylor polynomial
+    # of exp(lam dt); a wrong stage weight breaks it in every solver loop
+    dt = 0.4
+    lams = (-1.3, 0.8)
+    y0 = (np.array([1.0, -2.0, 0.5]), np.array([[3.0], [-0.25]]))
+    y1 = rk4(lambda c, y: tuple(lam * a for lam, a in zip(lams, y)), y0, dt)
+    for lam, a0, a1 in zip(lams, y0, y1):
+        z = lam * dt
+        want = (1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24) * a0
+        assert np.max(np.abs(a1 - want)) <= 1e-15 * np.max(np.abs(a0))
+
+
+def test_rk4_stage_offsets():
+    # y' = t: the stages must sit at c = 0, 1/2, 1/2, 1 for one step to
+    # give exactly dt^2/2; flow_from_velocity picks its fields by c
+    dt = 0.3
+    y0 = (np.zeros(4), np.zeros((2, 3)))
+    y1 = rk4(lambda c, y: tuple(np.full_like(a, c * dt) for a in y), y0, dt)
+    for a in y1:
+        assert np.max(np.abs(a - dt**2 / 2)) <= 1e-16
+
+
 def test_rk4_fixed_points(grid64):
-    z = EulerianState(0.0, VectorField(grid64, np.zeros((2,) + grid64.shape)))
-    out = rk4_step(z, 0.1)
+    z = VectorField(grid64, np.zeros((2,) + grid64.shape))
+    out = integrate(z, 0.1, 0.1).state
     assert np.max(np.abs(out.u.values)) == 0.0
     assert out.t == 0.1
     shear = EulerianState(0.0, steady_shear(grid64))
-    out = rk4_step(shear, 0.1)
+    out = integrate(shear.u, 0.1, 0.1).state
     assert np.max(np.abs(out.u.values - shear.u.values)) < 1e-12
 
 
@@ -202,8 +230,8 @@ def test_rk4_local_order(grid64):
     u0 = scaled(u0, 2.0 / np.max(np.abs(u0.values)))
     errs = []
     for dt in (0.1, 0.05, 0.025):
-        big = rk4_step(EulerianState(0.0, u0), dt)
-        half = rk4_step(rk4_step(EulerianState(0.0, u0), dt / 2), dt / 2)
+        big = integrate(u0, dt, dt).state
+        half = integrate(u0, dt, dt / 2).state
         errs.append(np.max(np.abs(big.u.values - half.u.values)))
     orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert all(4.5 < p < 5.5 for p in orders)
@@ -314,7 +342,38 @@ def test_csv_write_helper(tmp_path):
     from sympeuler.eulerian import DiagnosticsRecord
     rec = DiagnosticsRecord(0.0, 1.0, 2.0, 3e-16, 0.5, 0.25, 0.1, 0.0)
     path = tmp_path / "one.csv"
-    write_diagnostics_csv(path, [rec])
+    write_diagnostics_csv(path, [rec.row()])
     text = path.read_text()
     assert text.splitlines()[0] == ",".join(DIAGNOSTIC_COLUMNS)
     assert "3e-16" in text
+
+
+def test_output_files_follow_umask(tmp_path, grid32):
+    # the atomic writer must not leave its temp file's private 0600 mode
+    from sympeuler.experiments import NonuniformReport
+    from sympeuler.snapshots import write_snapshot
+    old = os.umask(0o027)
+    try:
+        write_diagnostics_csv(tmp_path / "diag.csv", [(0.0, 1.0)],
+                              columns=("t", "l2"))
+        write_snapshot(tmp_path / "u.snap", constant_field(grid32, 0, 1.0))
+        NonuniformReport([], {"C1": 1.0}).write_json(tmp_path / "c.json")
+    finally:
+        os.umask(old)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["c.json", "diag.csv", "u.snap"]   # no temp files left
+    for name in names:
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
+# ---------------------------------------------------------------------------
+# package surface
+
+
+def test_every_public_name_resolves():
+    for info in pkgutil.iter_modules(sympeuler.__path__):
+        module = importlib.import_module(f"sympeuler.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"sympeuler.{info.name}.{name}"
+    for name in sympeuler.__all__:
+        assert hasattr(sympeuler, name), name

@@ -12,7 +12,6 @@ from sympeuler.eulerian import cfl_timestep, integrate
 from sympeuler.experiments import (
     NonuniformReport,
     ResolutionGuardError,
-    build_bump_potential,
     build_nonuniform_config,
     commutator_sweep,
     disjoint_support_probe,
@@ -26,6 +25,7 @@ from sympeuler.experiments import (
 from sympeuler.fields import ScalarField, VectorField
 from sympeuler.grids import GridSpec
 from sympeuler.initial_conditions import (
+    bump,
     bump_symplectic,
     constant_field,
     random_symplectic,
@@ -56,12 +56,12 @@ def bump_base(grid, center):
 
 
 def test_bump_center_value(grid64):
-    f = build_bump_potential((np.pi, np.pi), 1.0, grid64)
+    f = bump(grid64, (np.pi, np.pi), 1.0)
     assert f.values[32, 32] == pytest.approx(math.exp(-1.0), abs=1e-15)
 
 
 def test_bump_vanishes_outside_support(grid64):
-    f = build_bump_potential((np.pi, np.pi), 1.0, grid64)
+    f = bump(grid64, (np.pi, np.pi), 1.0)
     x1, x2 = grid64.coordinate_arrays()
     r2 = (x1 - np.pi) ** 2 + (x2 - np.pi) ** 2
     assert np.all(f.values[r2 >= 1.0] == 0.0)
@@ -69,7 +69,7 @@ def test_bump_vanishes_outside_support(grid64):
 
 def test_bump_reflection_symmetry(grid64):
     # centered on a grid point, the bump is even in each axis
-    f = build_bump_potential((np.pi, np.pi), 1.2, grid64).values
+    f = bump(grid64, (np.pi, np.pi), 1.2).values
     for axis in (0, 1):
         g = np.roll(f, -32, axis=axis)
         mirrored = np.roll(np.flip(g, axis=axis), 1, axis=axis)
@@ -78,7 +78,7 @@ def test_bump_reflection_symmetry(grid64):
 
 def test_bump_radius_guard(grid64):
     with pytest.raises(ValueError):
-        build_bump_potential((np.pi, np.pi), grid64.box_length / 4, grid64)
+        bump(grid64, (np.pi, np.pi), grid64.box_length / 4)
 
 
 # ---------------------------------------------------------------------------
