@@ -469,10 +469,12 @@ def _atomic_write(path: str | os.PathLike, *chunks) -> None:
 def write_diagnostics_csv(path: str | os.PathLike,
                           rows: Sequence[Sequence[float]],
                           columns: Sequence[str] = DIAGNOSTIC_COLUMNS) -> None:
-    """Atomic CSV write of number tuples; floats via repr round-trip."""
+    """Atomic CSV write of number tuples; integers as integers, floats via
+    repr round-trip."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([repr(float(x)) for x in row])
+        writer.writerow([str(int(x)) if isinstance(x, (int, np.integer))
+                         else repr(float(x)) for x in row])
     _atomic_write(path, buf.getvalue().encode("utf-8"))

@@ -69,10 +69,6 @@ class DiffeoMap:
         J[np.arange(d), np.arange(d)] += 1.0
         return J
 
-    def displacement_gradient_norm(self) -> float:
-        """Max over grid points of the spectral norm of d(displacement)."""
-        return _max_spectral_norm(jacobian(self.displacement))
-
     def det_jacobian(self) -> np.ndarray:
         stack = _matrix_stack(self.jacobian_matrix())
         return np.linalg.det(stack).reshape(self.grid.shape)
@@ -111,10 +107,14 @@ def compose_maps(outer: DiffeoMap, inner: DiffeoMap) -> DiffeoMap:
 
 def invert(phi: DiffeoMap, tol: float = 1e-10, max_iter: int = 200) -> DiffeoMap:
     """Fixed-point inversion psi_{k+1} = -displacement o (id + psi_k)."""
-    contraction = phi.displacement_gradient_norm()
-    if contraction >= 1.0:
-        raise InversionError(
-            f"displacement gradient norm {contraction:.3f} >= 1")
+    J = jacobian(phi.displacement)
+    # the pointwise Frobenius norm bounds the spectral norm from above, so
+    # the SVD is needed only where that bound does not already settle it
+    if np.sqrt(np.max(np.sum(J * J, axis=(0, 1)))) >= 1.0:
+        contraction = _max_spectral_norm(J)
+        if contraction >= 1.0:
+            raise InversionError(
+                f"displacement gradient norm {contraction:.3f} >= 1")
     grid = phi.grid
     coords = grid.coordinate_stack()
     interp = PeriodicInterpolator(grid, phi.displacement.values)

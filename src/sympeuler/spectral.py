@@ -283,6 +283,10 @@ def spectral_upsample(values: np.ndarray, grid: GridSpec, factor: int = 2) -> np
     Nyquist coefficient is split across +-N/2 on the fine lattice, which
     keeps the refined samples real and the interpolation exact for
     band-limited data.
+
+    This is the reference oracle of `interp.PeriodicInterpolator`, whose
+    build folds the same zero padding and the spline prefilter into one
+    real-FFT pass; the tests compare the two.
     """
     if factor < 1 or int(factor) != factor:
         raise ValueError("factor must be a positive integer")

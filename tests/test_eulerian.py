@@ -348,6 +348,18 @@ def test_csv_write_helper(tmp_path):
     assert "3e-16" in text
 
 
+def test_csv_writes_integer_cells_as_integers(tmp_path):
+    from sympeuler.experiments import NonuniformReport, NonuniformRow
+    path = tmp_path / "mixed.csv"
+    write_diagnostics_csv(path, [(1, np.int64(2), 1.0, np.float64(3e-16))],
+                          columns=("a", "b", "c", "d"))
+    assert path.read_text().splitlines()[1] == "1,2,1.0,3e-16"
+    report = NonuniformReport([NonuniformRow(3, 0.5, 0.25, 0.1, 2.0, 1.0)], {})
+    report.write_csv(tmp_path / "nonuniform.csv")
+    assert (tmp_path / "nonuniform.csv").read_text().splitlines()[1] \
+        == "3,0.5,0.25,0.1,2.0,1.0"
+
+
 def test_output_files_follow_umask(tmp_path, grid32):
     # the atomic writer must not leave its temp file's private 0600 mode
     from sympeuler.experiments import NonuniformReport

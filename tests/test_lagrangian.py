@@ -89,6 +89,15 @@ def test_invert_rejects_large_displacement():
         invert(DiffeoMap(GRID, VectorField(GRID, vals)))
 
 
+def test_invert_accepts_frobenius_above_one_spectral_below():
+    # d(disp) = 0.8 I at the origin: Frobenius norm 1.13, spectral norm 0.8
+    x1, x2 = GRID64.coordinate_arrays()
+    vals = np.stack(np.broadcast_arrays(0.8 * np.sin(x1), 0.8 * np.sin(x2)))
+    phi = DiffeoMap(GRID64, VectorField(GRID64, vals))
+    both = compose_maps(phi, invert(phi))
+    assert np.max(np.abs(both.displacement.values)) < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # geodesic vector field
 
