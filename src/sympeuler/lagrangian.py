@@ -105,8 +105,41 @@ def compose_maps(outer: DiffeoMap, inner: DiffeoMap) -> DiffeoMap:
         outer.grid, inner.displacement.values + warped.values))
 
 
-def invert(phi: DiffeoMap, tol: float = 1e-10, max_iter: int = 200) -> DiffeoMap:
-    """Fixed-point inversion psi_{k+1} = -displacement o (id + psi_k)."""
+@dataclasses.dataclass(eq=False)
+class _LastInversion:
+    """An earlier inversion: displacement d0, its gradient J0, inverse psi0.
+
+    geodesic_integrate passes one through geodesic_rhs into every invert
+    call of a solve, so that each inversion starts from the one before.
+    """
+
+    displacement: np.ndarray
+    gradient: np.ndarray
+    inverse: np.ndarray
+
+    @classmethod
+    def identity(cls, grid: GridSpec) -> "_LastInversion":
+        zero = np.zeros((grid.dim,) + grid.shape)
+        return cls(zero, np.zeros((grid.dim,) + zero.shape), zero)
+
+
+def _apply(A: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Pointwise matrix-vector product of (d, d, *shape) and (d, *shape)."""
+    return np.einsum("ij...,j...->i...", A, w)
+
+
+def invert(phi: DiffeoMap, tol: float = 1e-10, max_iter: int = 200,
+           near: _LastInversion | None = None) -> DiffeoMap:
+    """Fixed-point inversion psi_{k+1} = -displacement o (id + psi_k).
+
+    The iteration starts from the first-order update of an earlier
+    inversion (d0, J0, psi0) to the current displacement d with gradient J:
+    psi0 - D + J D - (J - J0) psi0, D = d - d0. Without `near` the earlier
+    inversion is the identity's (all zero), which gives the Taylor start
+    -d + J d. With `near`, it is read for the start and overwritten with
+    this inversion on success. The start changes only the sweep count:
+    the result is the fixed point to within `tol`, whatever the start.
+    """
     J = jacobian(phi.displacement)
     # the pointwise Frobenius norm bounds the spectral norm from above, so
     # the SVD is needed only where that bound does not already settle it
@@ -116,14 +149,21 @@ def invert(phi: DiffeoMap, tol: float = 1e-10, max_iter: int = 200) -> DiffeoMap
             raise InversionError(
                 f"displacement gradient norm {contraction:.3f} >= 1")
     grid = phi.grid
+    if near is None:
+        near = _LastInversion.identity(grid)
     coords = grid.coordinate_stack()
     interp = PeriodicInterpolator(grid, phi.displacement.values)
-    psi = -phi.displacement.values
+    delta = phi.displacement.values - near.displacement
+    psi = (near.inverse - delta + _apply(J, delta)
+           - _apply(J - near.gradient, near.inverse))
     for _ in range(max_iter):
         new = -interp((coords + psi) % grid.box_length)
         update = float(np.max(np.abs(new - psi)))
         psi = new
         if update < tol:
+            near.displacement = phi.displacement.values
+            near.gradient = J
+            near.inverse = psi
             return DiffeoMap(grid, VectorField(grid, psi))
     raise InversionError(f"no convergence after {max_iter} iterations")
 
@@ -138,23 +178,31 @@ def symplectic_residual(phi: DiffeoMap) -> float:
     return float(np.sqrt(np.sum(R * R) * grid.cell_volume))
 
 
-def geodesic_rhs(phi: DiffeoMap, v: VectorField, cutoff_radius: float = 1.0
+def geodesic_rhs(phi: DiffeoMap, v: VectorField, cutoff_radius: float = 1.0,
+                 near: _LastInversion | None = None
                  ) -> tuple[VectorField, VectorField]:
-    """(d phi/dt, dv/dt) = (v, B(v o phi^{-1}) o phi)."""
-    u = compose(v, invert(phi))
+    """(d phi/dt, dv/dt) = (v, B(v o phi^{-1}) o phi); `near` goes to invert."""
+    u = compose(v, invert(phi, near=near))
     force = fast_force(u, cutoff_radius)
     return v, compose(force, phi)
 
 
 def geodesic_integrate(u0: VectorField, t_final: float, dt: float,
                        cutoff_radius: float = 1.0) -> GeodesicState:
-    """RK4 on the coupled (phi, v) system from (id, u0)."""
+    """RK4 on the coupled (phi, v) system from (id, u0).
+
+    Each of the four RK stages inverts its map. The inversion of one stage
+    starts from that of the stage before, across steps too; the carried
+    inversion lives in this call only, so equal inputs give equal outputs.
+    """
     grid = u0.grid
     steps = step_count(t_final, dt)
+    near = _LastInversion.identity(grid)
 
     def rhs(c, y):
         phi = DiffeoMap(grid, VectorField(grid, y[0]))
-        dphi, dv = geodesic_rhs(phi, VectorField(grid, y[1]), cutoff_radius)
+        dphi, dv = geodesic_rhs(phi, VectorField(grid, y[1]), cutoff_radius,
+                                near)
         return dphi.values, dv.values
 
     y = (np.zeros((grid.dim,) + grid.shape), u0.values)

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import sympeuler.lagrangian as lagrangian
 from sympeuler.eulerian import integrate
 from sympeuler.fields import ScalarField, VectorField
 from sympeuler.grids import GridSpec
 from sympeuler.initial_conditions import random_symplectic, steady_shear
+from sympeuler.interp import PeriodicInterpolator
 from sympeuler.lagrangian import (
     DiffeoMap,
     InversionError,
@@ -18,6 +20,7 @@ from sympeuler.lagrangian import (
     geodesic_rhs,
     invert,
     symplectic_residual,
+    _LastInversion,
 )
 from sympeuler.operators import constraint_force, symplectic_divergence
 from sympeuler.spectral import lebesgue_norms, sobolev_norm
@@ -26,6 +29,7 @@ from sympeuler.spectral import lebesgue_norms, sobolev_norm
 GRID = GridSpec(n=1, points_per_axis=128)
 # geodesic marching needs an inversion per stage; small grid keeps it quick
 GRID64 = GridSpec(n=1, points_per_axis=64)
+GRID32 = GridSpec(n=1, points_per_axis=32)
 
 
 def small_symplectic(grid, seed, amp=0.1):
@@ -81,12 +85,29 @@ def test_invert_round_trip():
     assert np.max(np.abs(both.displacement.values)) < 1e-8
 
 
+def _unrelated_map(grid):
+    x1, x2 = grid.coordinate_arrays()
+    vals = np.stack(np.broadcast_arrays(0.3 * np.sin(x2),
+                                        0.2 * np.cos(x1 + x2)))
+    return DiffeoMap(grid, VectorField(grid, vals))
+
+
+def _inverted(phi):
+    near = _LastInversion.identity(phi.grid)
+    invert(phi, near=near)
+    return near
+
+
 def test_invert_rejects_large_displacement():
     x1 = GRID.coordinate_arrays()[0]
     vals = np.zeros((2,) + GRID.shape)
     vals[0] = 2.0 * np.sin(x1)   # gradient norm 2 > 1, not invertible this way
-    with pytest.raises(InversionError):
-        invert(DiffeoMap(GRID, VectorField(GRID, vals)))
+    phi = DiffeoMap(GRID, VectorField(GRID, vals))
+    # the contraction guard fires whatever the start
+    for near in (None, _inverted(DiffeoMap.translation(GRID, (0.3, 0.0))),
+                 _inverted(_unrelated_map(GRID))):
+        with pytest.raises(InversionError, match="gradient norm"):
+            invert(phi, near=near)
 
 
 def test_invert_accepts_frobenius_above_one_spectral_below():
@@ -96,6 +117,61 @@ def test_invert_accepts_frobenius_above_one_spectral_below():
     phi = DiffeoMap(GRID64, VectorField(GRID64, vals))
     both = compose_maps(phi, invert(phi))
     assert np.max(np.abs(both.displacement.values)) < 1e-8
+
+
+def _stage_maps(monkeypatch, u0, t_final, dt):
+    """The map of every RK stage of geodesic_integrate, in call order."""
+    maps = []
+
+    def recording(phi, **kwargs):
+        maps.append(phi)
+        return invert(phi, **kwargs)
+
+    monkeypatch.setattr(lagrangian, "invert", recording)
+    geodesic_integrate(u0, t_final, dt)
+    monkeypatch.undo()
+    return maps
+
+
+def _counting_calls(monkeypatch):
+    calls = [0]
+    evaluate = PeriodicInterpolator.__call__
+
+    def counting(self, points):
+        calls[0] += 1
+        return evaluate(self, points)
+
+    monkeypatch.setattr(PeriodicInterpolator, "__call__", counting)
+    return calls
+
+
+def test_invert_warm_start_agrees_with_cold(monkeypatch):
+    # stages 2 and 3 of the last step differ by O(dt^2); started from the
+    # inversion of stage 2, stage 3 converges in one sweep, the cold start
+    # needs three, and a wrong first-order start needs two or more
+    u0 = small_symplectic(GRID32, seed=62, amp=0.05)
+    maps = _stage_maps(monkeypatch, u0, 0.1, 0.01)
+    near = _inverted(maps[-3])
+    calls = _counting_calls(monkeypatch)
+    cold = invert(maps[-2])
+    cold_calls, calls[0] = calls[0], 0
+    warm = invert(maps[-2], near=near)
+    gap = np.max(np.abs(warm.displacement.values - cold.displacement.values))
+    assert gap < 1e-9
+    assert 2 * calls[0] < cold_calls
+    assert near.inverse is warm.displacement.values
+
+
+@pytest.mark.parametrize("start", ["translation", "unrelated"])
+def test_invert_recovers_from_unrelated_start(start):
+    u = small_symplectic(GRID64, seed=60, amp=0.05)
+    phi = DiffeoMap(GRID64, u)
+    other = {"translation": DiffeoMap.translation(GRID64, (0.3, 0.0)),
+             "unrelated": _unrelated_map(GRID64)}[start]
+    cold = invert(phi)
+    warm = invert(phi, near=_inverted(other))
+    gap = np.max(np.abs(warm.displacement.values - cold.displacement.values))
+    assert gap < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +221,39 @@ def test_geodesic_shear_characteristics():
     assert np.max(np.abs(out.phi.displacement.values[0] - expect1)) < 1e-10
     assert np.max(np.abs(out.phi.displacement.values[1])) < 1e-10
     assert np.max(np.abs(out.v.values - u0.values)) < 1e-10
+
+
+def test_geodesic_solves_share_no_state(monkeypatch):
+    # each solve carries its own inversion across stages: a solve of B in
+    # between must not change a repeated solve of A by a single bit. The
+    # first stage inverts the identity exactly from any start, so a carried
+    # inversion would show only in its sweeps, hence the call counts, on a
+    # grid no other test uses
+    grid = GridSpec(n=1, points_per_axis=24)
+    a = small_symplectic(grid, seed=68, amp=0.2)
+    b = small_symplectic(grid, seed=69, amp=0.3)
+    calls = _counting_calls(monkeypatch)
+    first = geodesic_integrate(a, 0.2, 0.05)
+    first_calls = calls[0]
+    geodesic_integrate(b, 0.2, 0.05)
+    calls[0] = 0
+    again = geodesic_integrate(a, 0.2, 0.05)
+    assert np.array_equal(first.phi.displacement.values,
+                          again.phi.displacement.values)
+    assert np.array_equal(first.v.values, again.v.values)
+    assert calls[0] == first_calls
+
+
+def test_geodesic_rk4_self_convergence():
+    # halving dt divides the gap between successive solutions by 2^4; the
+    # gaps (2.5e-8, 1.6e-9) sit far above the inversion tolerance, and the
+    # measured ratio is 16.1 (4.0 with a wrong RK stage weight)
+    u0 = small_symplectic(GRID32, seed=62, amp=0.5)
+    states = [geodesic_integrate(u0, 0.5, dt) for dt in (0.1, 0.05, 0.025)]
+    ys = [np.concatenate([s.phi.displacement.values.ravel(),
+                          s.v.values.ravel()]) for s in states]
+    gaps = [np.max(np.abs(ys[k] - ys[k + 1])) for k in range(2)]
+    assert 15.0 < gaps[0] / gaps[1] < 17.0
 
 
 def test_exp_of_zero_is_identity():

@@ -9,6 +9,13 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+import sympeuler.lagrangian as lagrangian
+from sympeuler.fields import VectorField
+from sympeuler.grids import GridSpec
+from sympeuler.initial_conditions import random_symplectic
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -27,3 +34,21 @@ def test_traced_layers_exist():
     assert missing == []
     assert hasattr(importlib.import_module("sympeuler.interp"),
                    "PeriodicInterpolator")
+
+
+def test_geodesic_integrate_inverts_through_module_attribute(monkeypatch):
+    # the tracer's lagrangian.invert span (and its sweeps per call) counts
+    # only calls looked up on the module: one per RK stage, four per step
+    calls = []
+    invert = lagrangian.invert
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return invert(*args, **kwargs)
+
+    monkeypatch.setattr(lagrangian, "invert", counting)
+    grid = GridSpec(n=1, points_per_axis=32)
+    u = random_symplectic(grid, seed=3, decay=1.0)
+    u0 = VectorField(grid, 0.05 / np.max(np.abs(u.values)) * u.values)
+    lagrangian.geodesic_integrate(u0, 0.15, 0.05)
+    assert len(calls) == 4 * 3
