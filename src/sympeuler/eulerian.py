@@ -40,7 +40,12 @@ from .fields import VectorField
 from .grids import GridSpec
 from .interp import local_lagrange_sample
 from .operators import advection_term, constraint_force, project_symplectic
-from .spectral import _derivative_symbols, dealias_band, lebesgue_norms
+from .spectral import (
+    _half_derivative_symbols,
+    _sobolev_weights,
+    dealias_band,
+    lebesgue_norms,
+)
 
 __all__ = [
     "DiscretizationFailure",
@@ -289,24 +294,6 @@ def fast_force(u: VectorField, cutoff_radius: float = 1.0) -> VectorField:
     """constraint_force through the skew-first spectral kernel."""
     kernel = _kernel(u.grid, float(cutoff_radius))
     return VectorField(u.grid, kernel(u.values, advect=False))
-
-
-@functools.lru_cache(maxsize=8)
-def _half_derivative_symbols(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """Nyquist-zeroed i*xi_j on the rfft half lattice (last axis cut)."""
-    cut = grid.points_per_axis // 2 + 1
-    return tuple(sym[..., :cut] for sym in _derivative_symbols(grid))
-
-
-@functools.lru_cache(maxsize=8)
-def _sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
-    """Parseval weights (1 + |xi|^2)^s on the half lattice, each column
-    counted with its Hermitian multiplicity (1 at k_last = 0, N/2; else 2)."""
-    cut = grid.points_per_axis // 2 + 1
-    mult = np.full(cut, 2.0)
-    mult[0] = mult[-1] = 1.0
-    weights = (1.0 + grid.frequency_squared[..., :cut]) ** s * mult
-    return weights * (grid.box_volume / grid.num_points**2)
 
 
 def diagnostics(state: EulerianState, s: float,

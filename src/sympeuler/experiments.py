@@ -23,6 +23,7 @@ import math
 import numpy as np
 
 from .eulerian import (
+    DiscretizationFailure,
     _atomic_write,
     cfl_timestep,
     dt_for_speed,
@@ -92,43 +93,55 @@ class ResolutionGuardError(RuntimeError):
 def oracle_2d_solve(u0: VectorField, t_final: float, dt: float) -> VectorField:
     """Vorticity-stream pseudo-spectral 2D Euler; independent of the
     constraint-force code path, and stepped by its own RK4 loop rather
-    than eulerian.rk4, so a fault there cannot hide in both."""
+    than eulerian.rk4, so a fault there cannot hide in both.
+
+    The vorticity zeta lives on the rfft half lattice. Each stage takes
+    one batched inverse transform of (u1, u2, d1 zeta, d2 zeta), with u
+    the symplectic gradient of Delta^{-1} zeta plus the conserved mean
+    velocity, into buffers allocated once per call, and one rfft2 of
+    u.grad(zeta). A NaN or Inf in zeta raises DiscretizationFailure.
+    """
     grid = u0.grid
     if grid.n != 1:
         raise ValueError("oracle is specific to n=1 (two dimensions)")
     steps = step_count(t_final, dt)
-    d1 = derivative_symbol(grid, 0)
-    d2 = derivative_symbol(grid, 1)
-    xi2 = grid.frequency_squared
+    cut = grid.points_per_axis // 2 + 1
+    d1 = derivative_symbol(grid, 0)[:, :cut]
+    d2 = derivative_symbol(grid, 1)[:, :cut]
+    xi2 = grid.frequency_squared[:, :cut]
     with np.errstate(divide="ignore"):
         inv_lap = np.where(xi2 > 0.0, -1.0 / np.where(xi2 > 0.0, xi2, 1.0), 0.0)
-    mask = dealias_mask(grid)
+    mask = dealias_mask(grid)[:, :cut]
     mean = u0.values.mean(axis=(1, 2))
+    # multipliers taking zeta to (u1, u2, d1 zeta, d2 zeta) without the mean
+    symbols = np.stack(np.broadcast_arrays(-d2 * inv_lap, d1 * inv_lap, d1, d2))
+    spec = np.empty(symbols.shape, dtype=complex)
+    phys = np.empty((4,) + grid.shape)
 
-    def velocity(zeta_hat):
-        psi_hat = inv_lap * zeta_hat
-        u1 = np.real(np.fft.ifft2(-d2 * psi_hat))
-        u2 = np.real(np.fft.ifft2(d1 * psi_hat))
-        return u1 + mean[0], u2 + mean[1]
+    def fields(zeta_hat):
+        np.multiply(symbols, zeta_hat, out=spec)
+        # in place along the full axis, then the real half-axis pass:
+        # irfft2 would allocate its complex intermediate on every stage
+        np.fft.ifft(spec, axis=1, out=spec)
+        np.fft.irfft(spec, n=grid.points_per_axis, axis=2, out=phys)
+        phys[:2] += mean[:, None, None]
+        return phys
 
     def rhs(zeta_hat):
-        u1, u2 = velocity(zeta_hat)
-        gz1 = np.real(np.fft.ifft2(d1 * zeta_hat))
-        gz2 = np.real(np.fft.ifft2(d2 * zeta_hat))
-        return -np.fft.fft2(u1 * gz1 + u2 * gz2) * mask
+        u1, u2, gz1, gz2 = fields(zeta_hat)
+        return -np.fft.rfft2(u1 * gz1 + u2 * gz2) * mask
 
-    u_hat = np.fft.fft2(u0.values, axes=(1, 2))
+    u_hat = np.fft.rfft2(u0.values)
     zeta_hat = (d1 * u_hat[1] - d2 * u_hat[0]) * mask
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         k1 = rhs(zeta_hat)
         k2 = rhs(zeta_hat + 0.5 * dt * k1)
         k3 = rhs(zeta_hat + 0.5 * dt * k2)
         k4 = rhs(zeta_hat + dt * k3)
         zeta_hat = zeta_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(zeta_hat)):
-            raise RuntimeError("oracle produced NaN/Inf")
-    u1, u2 = velocity(zeta_hat)
-    return VectorField(grid, np.stack([u1, u2]))
+            raise DiscretizationFailure(step * dt, "NaN/Inf in oracle vorticity")
+    return VectorField(grid, fields(zeta_hat)[:2].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +265,11 @@ def probe_report(grid: GridSpec | None = None, s: float = 3.0,
 # nonuniform-dependence experiment
 
 
+def _pointwise_norm(values: np.ndarray) -> np.ndarray:
+    """|v(x)| at every grid point of stacked vector values."""
+    return np.sqrt(np.einsum("i...,i...->...", values, values))
+
+
 def exp_via_flow(u0: VectorField, cfl: float = 0.7, cutoff_radius: float = 1.0,
                  dt: float | None = None) -> DiffeoMap:
     """Time-1 flow map of the Eulerian solution (equivalent to the
@@ -283,7 +301,7 @@ def find_probe_direction(u_star: VectorField, candidates, epsilon: float,
         plus = exp_evaluator(VectorField(grid, u_star.values + epsilon * w.values))
         minus = exp_evaluator(VectorField(grid, u_star.values - epsilon * w.values))
         delta = (plus.displacement.values - minus.displacement.values) / (2 * epsilon)
-        mag = np.sqrt(np.einsum("i...,i...->...", delta, delta))
+        mag = _pointwise_norm(delta)
         m_here = float(mag.max())
         if best is None or m_here > best[0]:
             best = (m_here, idx, mag)
@@ -426,8 +444,7 @@ def _measure_constants(u_star: VectorField, R: float, s: float, seed: int,
     c5 = 0.0
     for f in (w_star, delta,
               random_vector(grid, seed=rng_seed + 3, decay=1.0, s=s, norm=1.0)):
-        mag = np.sqrt(np.einsum("i...,i...->...", f.values, f.values))
-        c5 = max(c5, float(mag.max()) / sobolev_norm(f, s))
+        c5 = max(c5, float(_pointwise_norm(f.values).max()) / sobolev_norm(f, s))
 
     return {"C1": float(c1), "C2": float(c2), "C3": float(c3),
             "C4": float(c4), "C5": float(c5)}
@@ -492,9 +509,14 @@ def build_nonuniform_config(grid: GridSpec | None = None,
             f"(spacing {grid.spacing:.4g})")
 
     w_star = builders[idx][1](grid)
+    u_star = u_star_on(grid)
     base_potential = bump(grid, center, base_radius)
     constants.update({
         "m_star": float(m_star),
+        # max|u*| and max|w*| on the main grid: a base speed far below the
+        # probe's means the pairs probe the flow near the zero field
+        "base_max_speed": float(_pointwise_norm(u_star.values).max()),
+        "probe_max_speed": float(_pointwise_norm(w_star.values).max()),
         "x_star": [float(v) for v in x_star],
         "R": float(R),
         "R_used": float(r_used),
@@ -508,7 +530,7 @@ def build_nonuniform_config(grid: GridSpec | None = None,
         grid=grid, s=s, R=R, R_used=r_used, K=K, x_star=x_star,
         base_potential=base_potential,
         bump_potential=bump(grid, x_star, radii[0]),
-        u_star=u_star_on(grid), w_star=w_star, m_star=m_star,
+        u_star=u_star, w_star=w_star, m_star=m_star,
         radii=radii, constants=constants)
 
 

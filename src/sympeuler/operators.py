@@ -1,4 +1,4 @@
-"""Symplectic vector calculus on periodic boxes.
+"""Symplectic vector calculus on periodic boxes: the reference operator chain.
 
 The central object is the deformation operator taking a vector field X
 to the skew-matrix field describing how the flow of X deforms the
@@ -7,6 +7,15 @@ together with its formal L^2 adjoint. Quadratic forms of a velocity
 field expressing the deformation of the advection term, the constraint
 force that keeps a flow symplectic, and the symplectic gradient /
 divergence calculus are built on top.
+
+This chain is the reference oracle for the fused kernel and the
+diagnostics record in eulerian.py: one function per operator of the
+paper, composed as the paper composes them, sharing nothing with the
+kernel beyond spectral.py's symbols. Each operator takes one batched
+rfftn of its input's independent components (cached on the field as
+rhat; for a skew field the upper triangle) and one batched irfftn of its
+output's; a quadratic form adds one round trip for its pointwise
+products.
 
 All quadratic forms apply the 2/3-rule truncation to their inputs and
 outputs, so the algebraic identities between them hold to rounding on
@@ -19,15 +28,25 @@ import functools
 
 import numpy as np
 
-from .fields import ScalarField, SkewMatrixField, VectorField, skew_part
+from .fields import (
+    ScalarField,
+    SkewMatrixField,
+    VectorField,
+    _irfftn,
+    _rfftn,
+    skew_part,
+)
 from .grids import GridSpec
 from .spectral import (
-    dealias_mask,
-    derivative_symbol,
-    inverse_laplacian,
+    _half,
+    _half_derivative_symbols,
+    _half_inverse_laplacian,
     ball_cutoff_mask,
-    sobolev_norm,
+    dealias_mask,
+    inverse_laplacian,
     lebesgue_norms,
+    riesz_transform,
+    sobolev_norm,
     two_thirds_truncate,
 )
 
@@ -62,94 +81,85 @@ def symplectic_matrix(n: int) -> np.ndarray:
     return omega
 
 
+def _gradient_hat(grid: GridSpec, hat: np.ndarray) -> np.ndarray:
+    """Half-lattice gradient: a new axis after hat's leading ones holds
+    d_j, so a vector's hat gives G[i, j] = d_j u_i."""
+    D = _half_derivative_symbols(grid)
+    return np.stack([hat * D[j] for j in range(grid.dim)],
+                    axis=hat.ndim - grid.dim)
+
+
+def _divergence_hat(u: VectorField) -> np.ndarray:
+    D = _half_derivative_symbols(u.grid)
+    return sum(D[j] * u.rhat[j] for j in range(u.grid.dim))
+
+
+def _skew_gradient(grid: GridSpec, V_hat: np.ndarray) -> SkewMatrixField:
+    """The skew field A - A^T with A_ij = d_j V_i, from the half-lattice
+    spectrum of V: upper entries d_j V_i - d_i V_j."""
+    D = _half_derivative_symbols(grid)
+    return SkewMatrixField.from_rspectral(grid, np.stack([
+        D[j] * V_hat[i] - D[i] * V_hat[j]
+        for i, j in zip(*np.triu_indices(grid.dim, 1))]))
+
+
 def jacobian(u: VectorField) -> np.ndarray:
     """All partial derivatives as an array J[i, j] = d_j u_i (physical)."""
-    grid = u.grid
-    d = grid.dim
-    hats = u.hat
-    J = np.empty((d, d) + grid.shape)
-    for j in range(d):
-        sym = derivative_symbol(grid, j)
-        axes = tuple(range(1, 1 + d))
-        J[:, j] = np.real(np.fft.ifftn(hats * sym, axes=axes))
-    return J
+    return _irfftn(_gradient_hat(u.grid, u.rhat), u.grid.shape)
 
 
 def divergence(u: VectorField) -> ScalarField:
-    grid = u.grid
-    hat = np.zeros(grid.shape, dtype=complex)
-    for j in range(grid.dim):
-        hat += derivative_symbol(grid, j) * u.hat[j]
-    return ScalarField.from_spectral(grid, hat)
+    return ScalarField.from_rspectral(u.grid, _divergence_hat(u))
 
 
 def _skew_divergence(Y: SkewMatrixField) -> np.ndarray:
-    """div(Y)_k = sum_i d_i Y_{ik}, returned as stacked spectral array."""
-    grid = Y.grid
-    d = grid.dim
-    axes = tuple(range(2, 2 + d))
-    hat = np.fft.fftn(Y.values, axes=axes)
-    out = np.zeros((d,) + grid.shape, dtype=complex)
-    for k in range(d):
-        for i in range(d):
-            out[k] += derivative_symbol(grid, i) * hat[i, k]
+    """div(Y)_k = sum_i d_i Y_{ik}, returned as stacked half-lattice array.
+
+    With Y_{ji} = -Y_{ij}, the upper entry (i, j) adds d_i Y_{ij} to
+    component j and -d_j Y_{ij} to component i."""
+    D = _half_derivative_symbols(Y.grid)
+    hat = Y.rhat
+    out = np.zeros((Y.grid.dim,) + hat.shape[1:], dtype=complex)
+    for e, (i, j) in enumerate(zip(*np.triu_indices(Y.grid.dim, 1))):
+        out[j] += D[i] * hat[e]
+        out[i] -= D[j] * hat[e]
     return out
 
 
 def skew_divergence(Y: SkewMatrixField) -> VectorField:
     """Column-wise divergence of a skew matrix field, div(Y)_k = sum_i d_i Y_{ik}."""
-    return VectorField.from_spectral(Y.grid, _skew_divergence(Y))
+    return VectorField.from_rspectral(Y.grid, _skew_divergence(Y))
 
 
 def omega_deformation(X: VectorField) -> SkewMatrixField:
     """Skew field describing the deformation of the symplectic form by X.
 
     With J the Jacobian of X this is omega^T J - J^T omega; it vanishes
-    exactly when the flow of X preserves the form.
+    exactly when the flow of X preserves the form. As omega is constant,
+    (omega^T J)_ij = d_j (omega^T X)_i.
     """
     omega = symplectic_matrix(X.grid.n)
-    J = jacobian(X)
-    A = np.einsum("ki,kj...->ij...", omega, J)
-    return skew_part(X.grid, A)
+    return _skew_gradient(X.grid, np.tensordot(omega, X.rhat, axes=(0, 0)))
 
 
 def omega_deformation_adjoint(Y: SkewMatrixField) -> VectorField:
     """Formal L^2 adjoint: -2 div(Y) . omega as a vector field."""
-    grid = Y.grid
-    omega = symplectic_matrix(grid.n)
-    div_hat = _skew_divergence(Y)
-    out_hat = np.einsum("kj,k...->j...", omega, div_hat) * (-2.0)
-    return VectorField.from_spectral(grid, out_hat)
+    omega = symplectic_matrix(Y.grid.n)
+    out_hat = np.tensordot(omega, _skew_divergence(Y), axes=(0, 0)) * (-2.0)
+    return VectorField.from_rspectral(Y.grid, out_hat)
 
 
 def divergence_curl(Y: SkewMatrixField) -> SkewMatrixField:
     """Antisymmetrized gradient of the skew field's divergence vector."""
-    grid = Y.grid
-    d = grid.dim
-    div_hat = _skew_divergence(Y)
-    A = np.empty((d, d) + grid.shape)
-    axes = tuple(range(1, 1 + d))
-    for l in range(d):
-        sym = derivative_symbol(grid, l)
-        A[:, l] = np.real(np.fft.ifftn(div_hat * sym, axes=axes))
-    return skew_part(grid, A)
+    return _skew_gradient(Y.grid, _skew_divergence(Y))
 
 
 # ---------------------------------------------------------------------------
 # quadratic forms of a velocity field
 
 
-def _spatial_fft(grid: GridSpec, values: np.ndarray, lead: int) -> np.ndarray:
-    axes = tuple(range(lead, lead + grid.dim))
-    return np.fft.fftn(values, axes=axes)
-
-
-def _dealias_and_skew(grid: GridSpec, matrix_values: np.ndarray) -> SkewMatrixField:
-    mask = dealias_mask(grid)
-    hat = _spatial_fft(grid, matrix_values, 2) * mask
-    axes = tuple(range(2, 2 + grid.dim))
-    vals = np.real(np.fft.ifftn(hat, axes=axes))
-    return skew_part(grid, vals)
+def _dealiased_skew(grid: GridSpec, matrix_values: np.ndarray) -> SkewMatrixField:
+    return two_thirds_truncate(skew_part(grid, matrix_values))
 
 
 def advective_deformation_strain(u: VectorField) -> SkewMatrixField:
@@ -163,8 +173,8 @@ def advective_deformation_strain(u: VectorField) -> SkewMatrixField:
     omega = symplectic_matrix(grid.n)
     J = jacobian(u)
     M = np.einsum("kj...,ik...->ij...", J, J)
-    A = np.einsum("ki,kj...->ij...", omega, M)
-    return _dealias_and_skew(grid, A)
+    A = np.tensordot(omega, M, axes=(0, 0))
+    return _dealiased_skew(grid, A)
 
 
 def advective_deformation_flux(u: VectorField) -> SkewMatrixField:
@@ -175,19 +185,20 @@ def advective_deformation_flux(u: VectorField) -> SkewMatrixField:
     """
     u = two_thirds_truncate(u)
     grid = u.grid
-    d = grid.dim
     omega = symplectic_matrix(grid.n)
     J = jacobian(u)
-    # w[i, j, k] = u_i * d_j u_k, then M~_{ij} = sum_k d_k w[i, j, k]
-    w = np.einsum("i...,kj...->ijk...", u.values, J)
-    w_hat = _spatial_fft(grid, w, 3)
-    M_hat = np.zeros((d, d) + grid.shape, dtype=complex)
-    for k in range(d):
-        M_hat += derivative_symbol(grid, k) * w_hat[:, :, k]
-    axes = tuple(range(2, 2 + d))
-    M = np.real(np.fft.ifftn(M_hat, axes=axes))
-    A = np.einsum("ki,kj...->ij...", omega, M)
-    return _dealias_and_skew(grid, A)
+    # M~_{ij} = sum_k d_k (u_i * d_j u_k). As omega is constant,
+    # (omega^T M~)_{ij} = sum_k d_k (v_i d_j u_k) with v = omega^T u, so
+    # only the upper entries of its skew part are transformed:
+    # F[e, k] = v_i J_kj - v_j J_ki for the e-th pair i < j
+    v = np.tensordot(omega, u.values, axes=(0, 0))
+    F_hat = _rfftn(np.stack([v[i] * J[:, j] - v[j] * J[:, i]
+                             for i, j in zip(*np.triu_indices(grid.dim, 1))]),
+                   grid.dim)
+    D = _half_derivative_symbols(grid)
+    S_hat = sum(D[k] * F_hat[:, k] for k in range(grid.dim))
+    return SkewMatrixField.from_rspectral(
+        grid, S_hat * _half(grid, dealias_mask(grid)))
 
 
 def compressibility_defect(u: VectorField) -> SkewMatrixField:
@@ -197,15 +208,11 @@ def compressibility_defect(u: VectorField) -> SkewMatrixField:
     """
     u = two_thirds_truncate(u)
     grid = u.grid
-    d = grid.dim
     omega = symplectic_matrix(grid.n)
-    div_hat = divergence(u).hat
-    grad_div = np.empty((d,) + grid.shape)
-    for j in range(d):
-        grad_div[j] = np.real(np.fft.ifftn(div_hat * derivative_symbol(grid, j)))
+    grad_div = _irfftn(_gradient_hat(grid, _divergence_hat(u)), grid.shape)
     G = np.einsum("i...,j...->ij...", u.values, grad_div)
-    A = np.einsum("ki,kj...->ij...", omega, G)
-    return _dealias_and_skew(grid, A)
+    A = np.tensordot(omega, G, axes=(0, 0))
+    return _dealiased_skew(grid, A)
 
 
 def constraint_force(u: VectorField, cutoff_radius: float = 1.0) -> VectorField:
@@ -217,29 +224,22 @@ def constraint_force(u: VectorField, cutoff_radius: float = 1.0) -> VectorField:
     to every symplectic field and has zero symplectic divergence.
     """
     grid = u.grid
-    chi = ball_cutoff_mask(grid, cutoff_radius)
-    strain = advective_deformation_strain(u)
-    flux = advective_deformation_flux(u)
+    chi = _half(grid, ball_cutoff_mask(grid, cutoff_radius))
+    div_strain = _skew_divergence(advective_deformation_strain(u))
+    div_flux = _skew_divergence(advective_deformation_flux(u))
     omega = symplectic_matrix(grid.n)
-    div_strain = _skew_divergence(strain)
-    div_flux = _skew_divergence(flux)
     div_mix = (1.0 - chi) * div_strain + chi * div_flux
-    adj_hat = np.einsum("kj,k...->j...", omega, div_mix) * (-2.0)
-    # -1/2 inverse Laplacian of the mixed adjoint; the symbol of the
-    # inverse Laplacian is -1/|xi|^2 with the zero mode discarded.
-    xi2 = grid.frequency_squared
-    sym = np.where(xi2 > 0.0, 0.5 / np.where(xi2 > 0.0, xi2, 1.0), 0.0)
-    return VectorField.from_spectral(grid, sym * adj_hat)
+    adj_hat = np.tensordot(omega, div_mix, axes=(0, 0)) * (-2.0)
+    # -1/2 inverse Laplacian of the mixed adjoint (zero mode discarded)
+    return VectorField.from_rspectral(
+        grid, -0.5 * _half_inverse_laplacian(grid) * adj_hat)
 
 
 def advection_term(u: VectorField) -> VectorField:
     """(u . grad) u with 2/3-rule dealiasing."""
     u = two_thirds_truncate(u)
-    grid = u.grid
-    J = jacobian(u)
-    adv = np.einsum("j...,ij...->i...", u.values, J)
-    hat = _spatial_fft(grid, adv, 1) * dealias_mask(grid)
-    return VectorField.from_spectral(grid, hat)
+    adv = np.einsum("j...,ij...->i...", u.values, jacobian(u))
+    return two_thirds_truncate(VectorField(u.grid, adv))
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +249,23 @@ def advection_term(u: VectorField) -> VectorField:
 def symplectic_gradient(H: ScalarField) -> VectorField:
     """(d_2 H, -d_1 H, ..., d_{2n} H, -d_{2n-1} H)."""
     grid = H.grid
-    hat = H.hat
-    comps = np.empty((grid.dim,) + grid.shape, dtype=complex)
+    D = _half_derivative_symbols(grid)
+    hat = H.rhat
+    comps = np.empty((grid.dim,) + hat.shape, dtype=complex)
     for a in range(grid.n):
-        comps[2 * a] = hat * derivative_symbol(grid, 2 * a + 1)
-        comps[2 * a + 1] = -hat * derivative_symbol(grid, 2 * a)
-    return VectorField.from_spectral(grid, comps)
+        comps[2 * a] = hat * D[2 * a + 1]
+        comps[2 * a + 1] = -hat * D[2 * a]
+    return VectorField.from_rspectral(grid, comps)
 
 
 def symplectic_divergence(u: VectorField) -> ScalarField:
     """d_2 u_1 - d_1 u_2 + ... + d_{2n} u_{2n-1} - d_{2n-1} u_{2n}."""
     grid = u.grid
-    hat = np.zeros(grid.shape, dtype=complex)
-    for a in range(grid.n):
-        hat += derivative_symbol(grid, 2 * a + 1) * u.hat[2 * a]
-        hat -= derivative_symbol(grid, 2 * a) * u.hat[2 * a + 1]
-    return ScalarField.from_spectral(grid, hat)
+    D = _half_derivative_symbols(grid)
+    hat = u.rhat
+    return ScalarField.from_rspectral(grid, sum(
+        D[2 * a + 1] * hat[2 * a] - D[2 * a] * hat[2 * a + 1]
+        for a in range(grid.n)))
 
 
 def velocity_from_symplectic_divergence(zeta: ScalarField) -> VectorField:
@@ -298,15 +299,11 @@ def riesz_commutator_ratio(u: VectorField, f: ScalarField, axis: int, s: float) 
     u = two_thirds_truncate(u)
     f = two_thirds_truncate(f)
     grid = u.grid
-    from .spectral import riesz_transform, dealias_mask as _dm
 
     def advect(g: ScalarField) -> ScalarField:
-        total = np.zeros(grid.shape)
-        for j in range(grid.dim):
-            dg = np.real(np.fft.ifftn(g.hat * derivative_symbol(grid, j)))
-            total += u.values[j] * dg
-        out_hat = np.fft.fftn(total) * _dm(grid)
-        return ScalarField.from_spectral(grid, out_hat)
+        grad = _irfftn(_gradient_hat(grid, g.rhat), grid.shape)
+        total = sum(u.values[j] * grad[j] for j in range(grid.dim))
+        return two_thirds_truncate(ScalarField(grid, total))
 
     rf = riesz_transform(f, axis)
     commutator = advect(rf) - riesz_transform(advect(f), axis)

@@ -1,10 +1,14 @@
 """Fourier multiplier calculus, Sobolev norms and dealiasing.
 
-All operators act on full-lattice coefficients under the e^{-i x.xi}
-forward convention, so d/dx_j is multiplication by i*xi_j. For even N
-the unpaired Nyquist row is zeroed inside odd (derivative-type)
-multipliers; this keeps differentiation real and exactly antisymmetric
-and is invisible on the 2/3-dealiased band where products live.
+Symbols are built on the full lattice under the e^{-i x.xi} forward
+convention, so d/dx_j is multiplication by i*xi_j. For even N the
+unpaired Nyquist row is zeroed inside odd (derivative-type) multipliers;
+this keeps differentiation real and exactly antisymmetric and is
+invisible on the 2/3-dealiased band where products live. Every symbol
+is even or odd in each frequency, so it maps Hermitian coefficients to
+Hermitian ones, and a multiplier acts on a field's rfftn half lattice
+(`_half`): one batched rfftn of the field's independent components, the
+product, one batched irfftn.
 """
 
 from __future__ import annotations
@@ -49,6 +53,17 @@ def _derivative_symbols(grid: GridSpec) -> tuple[np.ndarray, ...]:
     )
 
 
+def _half(grid: GridSpec, symbol: np.ndarray) -> np.ndarray:
+    """A full-lattice (broadcastable) symbol cut to the rfftn half lattice."""
+    return symbol[..., : grid.points_per_axis // 2 + 1]
+
+
+@functools.lru_cache(maxsize=64)
+def _half_derivative_symbols(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Nyquist-zeroed i*xi_j on the rfftn half lattice."""
+    return tuple(_half(grid, sym) for sym in _derivative_symbols(grid))
+
+
 def derivative_symbol(grid: GridSpec, axis: int) -> np.ndarray:
     if not 0 <= axis < grid.dim:
         raise ValueError(f"axis must be in [0, {grid.dim})")
@@ -78,62 +93,46 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
     return mask
 
 
-def _apply_symbol(f: ScalarField, symbol: np.ndarray) -> ScalarField:
-    return ScalarField.from_spectral(f.grid, f.hat * symbol)
-
-
-def _map_components(u, fn):
-    """Apply a per-scalar spectral map across VectorField/SkewMatrixField."""
-    if isinstance(u, ScalarField):
-        return fn(u)
-    if isinstance(u, VectorField):
-        return VectorField.from_components([fn(u.component(i)) for i in range(u.grid.dim)])
-    if isinstance(u, SkewMatrixField):
-        d = u.grid.dim
-        out = np.zeros_like(u.values)
-        for i in range(d):
-            for j in range(i + 1, d):
-                vals = fn(u.entry(i, j)).values
-                out[i, j] = vals
-                out[j, i] = -vals
-        return SkewMatrixField(u.grid, out)
-    raise TypeError(f"unsupported field type {type(u)!r}")
+def _apply_symbol(u, half_symbol: np.ndarray):
+    """Field of the same kind with the half-lattice multiplier applied to
+    every independent component: one batched rfftn (cached as u.rhat)
+    and one batched irfftn."""
+    return type(u).from_rspectral(u.grid, u.rhat * half_symbol)
 
 
 def two_thirds_truncate(u):
     """Zero every coefficient with any |k_j| above the 2/3-rule band."""
-    mask = dealias_mask(u.grid)
-    return _map_components(u, lambda f: ScalarField.from_spectral(f.grid, f.hat * mask))
+    return _apply_symbol(u, _half(u.grid, dealias_mask(u.grid)))
 
 
 def partial_derivative(u, axis: int):
     """Spectral partial derivative along the given axis (0-based)."""
-    sym = derivative_symbol(u.grid, axis)
-    return _map_components(u, lambda f: _apply_symbol(f, sym))
+    return _apply_symbol(u, _half(u.grid, derivative_symbol(u.grid, axis)))
+
+
+def _half_inverse_laplacian(grid: GridSpec) -> np.ndarray:
+    """-1/|xi|^2 on the half lattice, zero at the zero mode."""
+    xi2 = _half(grid, grid.frequency_squared)
+    return np.where(xi2 > 0.0, -1.0 / np.where(xi2 > 0.0, xi2, 1.0), 0.0)
 
 
 def inverse_laplacian(u):
     """Multiplier -1/|xi|^2 with the zero mode mapped to zero."""
-    grid = u.grid
-    xi2 = grid.frequency_squared
-    with np.errstate(divide="ignore"):
-        sym = np.where(xi2 > 0.0, -1.0 / np.where(xi2 > 0.0, xi2, 1.0), 0.0)
-    return _map_components(u, lambda f: _apply_symbol(f, sym))
+    return _apply_symbol(u, _half_inverse_laplacian(u.grid))
 
 
 def riesz_transform(u, axis: int):
     """R_j = d_j (-Laplace)^{-1/2}; zero mode mapped to zero."""
     grid = u.grid
-    xi2 = grid.frequency_squared
+    xi2 = _half(grid, grid.frequency_squared)
     inv_norm = np.where(xi2 > 0.0, 1.0 / np.sqrt(np.where(xi2 > 0.0, xi2, 1.0)), 0.0)
-    sym = derivative_symbol(grid, axis) * inv_norm
-    return _map_components(u, lambda f: _apply_symbol(f, sym))
+    return _apply_symbol(u, _half(grid, derivative_symbol(grid, axis)) * inv_norm)
 
 
 def bessel_potential(u, s: float):
     """J^s: multiplication by (1 + |xi|^2)^{s/2}."""
-    sym = (1.0 + u.grid.frequency_squared) ** (0.5 * s)
-    return _map_components(u, lambda f: _apply_symbol(f, sym))
+    xi2 = _half(u.grid, u.grid.frequency_squared)
+    return _apply_symbol(u, (1.0 + xi2) ** (0.5 * s))
 
 
 @functools.lru_cache(maxsize=64)
@@ -150,8 +149,7 @@ def ball_cutoff_mask(grid: GridSpec, radius: float) -> np.ndarray:
 
 def spectral_ball_cutoff(u, radius: float):
     """Sharp low-pass: zero all coefficients with |xi| > radius."""
-    mask = ball_cutoff_mask(u.grid, radius)
-    return _map_components(u, lambda f: _apply_symbol(f, mask))
+    return _apply_symbol(u, _half(u.grid, ball_cutoff_mask(u.grid, radius)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,29 +196,11 @@ def littlewood_paley_profiles(grid: GridSpec) -> tuple[np.ndarray, list[np.ndarr
 def littlewood_paley_blocks(f: ScalarField) -> list[ScalarField]:
     """Dyadic decomposition [low-pass block, annulus blocks...]; sums to f."""
     low, annuli = littlewood_paley_profiles(f.grid)
-    blocks = [ScalarField.from_spectral(f.grid, f.hat * low)]
-    blocks.extend(ScalarField.from_spectral(f.grid, f.hat * a) for a in annuli)
-    return blocks
+    return [_apply_symbol(f, _half(f.grid, p)) for p in [low] + annuli]
 
 
 # ---------------------------------------------------------------------------
 # norms and inner products
-
-
-def _component_hats(u) -> list[np.ndarray]:
-    if isinstance(u, ScalarField):
-        return [u.hat]
-    if isinstance(u, VectorField):
-        return [u.hat[i] for i in range(u.grid.dim)]
-    if isinstance(u, SkewMatrixField):
-        d = u.grid.dim
-        hats = []
-        for i in range(d):
-            for j in range(i + 1, d):
-                hats.append(u.entry(i, j).hat)
-        # the full Frobenius sum counts both triangles
-        return hats + hats
-    raise TypeError(f"unsupported field type {type(u)!r}")
 
 
 def _component_values(u) -> np.ndarray:
@@ -234,25 +214,33 @@ def _component_values(u) -> np.ndarray:
     raise TypeError(f"unsupported field type {type(u)!r}")
 
 
-def _parseval_weight(grid: GridSpec) -> float:
-    # chosen so that sobolev_norm(f, 0) equals the literal L^2 box integral
-    return grid.box_volume / grid.num_points**2
+@functools.lru_cache(maxsize=8)
+def _sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
+    """Parseval weights (1 + |xi|^2)^s on the half lattice, each column
+    counted with its Hermitian multiplicity (1 at k_last = 0, N/2; else 2)
+    and scaled so that s = 0 gives the literal L^2 box integral."""
+    cut = grid.points_per_axis // 2 + 1
+    mult = np.full(cut, 2.0)
+    mult[0] = mult[-1] = 1.0
+    weights = (1.0 + _half(grid, grid.frequency_squared)) ** s * mult
+    return weights * (grid.box_volume / grid.num_points**2)
 
 
 def sobolev_norm(u, s: float) -> float:
     """H^s norm via the lattice Parseval sum with weights (1 + |xi|^2)^s.
 
     At s = 0 this is the plain L^2 norm over the box. Vector fields sum
-    over components; skew-matrix fields use the full Frobenius sum.
+    over components; skew-matrix fields use the full Frobenius sum, which
+    counts each upper entry twice.
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
-    grid = u.grid
-    weights = (1.0 + grid.frequency_squared) ** s
-    total = 0.0
-    for hat in _component_hats(u):
-        total += float(np.sum(weights * np.abs(hat) ** 2))
-    return math.sqrt(_parseval_weight(grid) * total)
+    hat = u.rhat
+    total = float(np.sum(_sobolev_weights(u.grid, s)
+                         * (hat.real**2 + hat.imag**2)))
+    if isinstance(u, SkewMatrixField):
+        total *= 2.0
+    return math.sqrt(total)
 
 
 def lebesgue_norms(u) -> tuple[float, float]:

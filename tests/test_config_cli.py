@@ -268,6 +268,28 @@ def test_cli_numerical_failure_exit_3(tmp_path, capsys):
     assert payload["exit_code"] == 3
 
 
+def test_cli_oracle_blow_up_exit_3(tmp_path, capsys, monkeypatch):
+    # the solver under test runs first, so the oracle alone gets data it
+    # cannot step; its failure must reach the CLI as a typed one
+    import sympeuler.cli as cli
+    from sympeuler.fields import VectorField
+    oracle = cli.oracle_2d_solve
+    monkeypatch.setattr(cli, "oracle_2d_solve", lambda u0, t, dt: oracle(
+        VectorField(u0.grid, 1.0e8 * u0.values), t, dt))
+    cfg = write_cfg(tmp_path, {
+        "grid": {"points_per_axis": 32},
+        "time": {"dt": 0.05},
+        "initial": {"kind": "random_symplectic", "seed": 0, "norm": 0.5},
+        "experiment": {"seeds": [0], "t_final": 0.5}})
+    with np.errstate(all="ignore"):
+        code = run_cli("experiment", "oracle2d", "--config", cfg,
+                       "--out", str(tmp_path), "--quiet")
+    assert code == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "DiscretizationFailure"
+    assert payload["exit_code"] == 3
+
+
 def config_error_of(capsys, *argv):
     """Runs the CLI, expects exit 2, returns the JSON error message."""
     assert run_cli(*argv) == 2

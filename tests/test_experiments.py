@@ -3,12 +3,13 @@
 import csv
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 
 from conftest import rel_err
-from sympeuler.eulerian import cfl_timestep, integrate
+from sympeuler.eulerian import DiscretizationFailure, cfl_timestep, integrate
 from sympeuler.experiments import (
     NonuniformReport,
     ResolutionGuardError,
@@ -121,6 +122,64 @@ def test_oracle_matches_constrained_solver():
     ours = integrate(u0, 0.25, dt).state.u
     ref = oracle_2d_solve(u0, 0.25, dt)
     assert rel_err(ours.values, ref.values) < 1e-10
+
+
+def _shifted(grid, values, a):
+    """values(x - a), by the Fourier shift theorem."""
+    cut = grid.points_per_axis // 2 + 1
+    phase = sum(xi[..., :cut] * a_j
+                for xi, a_j in zip(grid.frequency_arrays(), a))
+    hat = np.fft.rfftn(values, axes=(-2, -1)) * np.exp(-1j * phase)
+    return np.fft.irfftn(hat, s=grid.shape, axes=(-2, -1))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda u0, t, dt: oracle_2d_solve(u0, t, dt),
+    lambda u0, t, dt: integrate(u0, t, dt, diag_every=10 ** 9).state.u,
+], ids=["oracle", "integrate"])
+def test_boost_equivariance(solve):
+    # a constant boost c maps a solution u(t, x) to u(t, x - c t) + c. On
+    # the dealiased band products are alias-free, so the semi-discrete
+    # system keeps the symmetry for any shift; what remains is RK4's error
+    # on the extra advection by c. Measured 1.9e-8 (16x smaller per dt
+    # halving). Dropping or flipping the oracle's mean velocity, flipping
+    # the kernel's advection sign, or widening the band by one mode past
+    # the 2/3 rule gave 6e-3 to 2 (the shift c T is no multiple of dx).
+    grid = GridSpec(n=1, points_per_axis=32)
+    u0 = random_symplectic(grid, seed=5, decay=0.3)
+    u0 = VectorField(grid, (0.5 / np.max(np.abs(u0.values))) * u0.values)
+    c = np.array([0.3, -0.2])[:, None, None]
+    t_final, dt = 0.5, 0.01
+    base = solve(u0, t_final, dt).values
+    boosted = solve(VectorField(grid, u0.values + c), t_final, dt).values
+    expected = _shifted(grid, base, c.ravel() * t_final) + c
+    assert np.max(np.abs(boosted - expected)) < 1e-7 * np.max(np.abs(base))
+
+
+def test_oracle_blow_up_is_a_discretization_failure(grid32):
+    u0 = random_symplectic(grid32, seed=1, norm=1.0e8)
+    with np.errstate(all="ignore"), pytest.raises(DiscretizationFailure) as info:
+        oracle_2d_solve(u0, 1.0, 0.1)
+    assert "oracle" in info.value.reason
+    assert 0.0 < info.value.t <= 1.0
+
+
+def _referenced_names(code: types.CodeType) -> set:
+    names = set(code.co_names) | set(code.co_varnames) | set(code.co_freevars)
+    for const in code.co_consts:
+        if isinstance(const, str):
+            names.add(const)
+        elif isinstance(const, types.CodeType):
+            names |= _referenced_names(const)
+    return names
+
+
+def test_oracle_shares_no_code_with_the_kernel():
+    # the oracle checks the fused kernel, so it must not step or evaluate
+    # through it: no RK4 stepper, kernel entry, kernel cache or buffers
+    kernel_names = {"rk4", "fast_rhs", "fast_force", "_kernel", "_SkewKernel",
+                    "_work_buffers"}
+    assert not _referenced_names(oracle_2d_solve.__code__) & kernel_names
 
 
 def test_vorticity_is_minus_symplectic_divergence(grid64):
@@ -271,9 +330,15 @@ def test_nonuniform_single_stage(tmp_path):
     assert len(rows) == 2
     sidecar = json.loads(json_path.read_text())
     for key in ("C1", "C2", "C3", "C4", "C5", "m_star", "x_star", "R",
-                "R_used", "gap_floor", "gap_floor_over_k1"):
+                "R_used", "gap_floor", "gap_floor_over_k1", "base_max_speed",
+                "probe_max_speed"):
         assert key in sidecar
     assert sidecar["m_star"] == pytest.approx(cfg.m_star)
+    speed = lambda u: np.max(np.hypot(u.values[0], u.values[1]))
+    assert sidecar["base_max_speed"] == pytest.approx(speed(cfg.u_star))
+    assert sidecar["probe_max_speed"] == pytest.approx(speed(cfg.w_star))
+    # the constant probe direction: its speed is the measured m_star
+    assert sidecar["probe_max_speed"] == pytest.approx(cfg.m_star, rel=1e-6)
 
 
 def test_nonuniform_resolution_guard():

@@ -10,15 +10,19 @@ from sympeuler.initial_conditions import random_potential, random_skew, random_v
 
 def test_scalar_round_trip(grid64):
     f = random_potential(grid64, seed=0)
-    back = ScalarField.from_spectral(grid64, f.hat)
+    back = ScalarField.from_rspectral(grid64, f.rhat)
     assert rel_err(back.values, f.values) < 1e-12
 
 
 def test_scalar_hermitian_symmetry(grid32):
+    # the half lattice keeps k_last = 0 and N/2, whose columns must be
+    # Hermitian along the full axis for the field to be real
     f = random_potential(grid32, seed=1)
-    hat = f.hat
-    flipped = hat[np.ix_(*[(-np.arange(n)) % n for n in hat.shape])]
-    assert np.max(np.abs(hat - np.conj(flipped))) < 1e-9 * np.max(np.abs(hat))
+    hat = f.rhat
+    flip = (-np.arange(hat.shape[0])) % hat.shape[0]
+    for col in (0, hat.shape[1] - 1):
+        edge = hat[:, col]
+        assert np.max(np.abs(edge - np.conj(edge[flip]))) < 1e-9 * np.max(np.abs(hat))
 
 
 def test_scalar_shape_guard(grid32):
@@ -70,5 +74,15 @@ def test_skew_part_antisymmetrizes(grid32):
 
 def test_four_dimensional_round_trip(grid4d):
     u = random_vector(grid4d, seed=8)
-    back = VectorField.from_spectral(grid4d, u.hat)
+    back = VectorField.from_rspectral(grid4d, u.rhat)
     assert rel_err(back.values, u.values) < 1e-12
+
+
+def test_skew_round_trip_through_upper_entries(grid4d):
+    # rhat holds the d(d-1)/2 upper entries; from_rspectral rebuilds the
+    # lower triangle by exact negation
+    Y = random_skew(grid4d, seed=9)
+    assert Y.rhat.shape[0] == 6
+    back = SkewMatrixField.from_rspectral(grid4d, Y.rhat)
+    assert rel_err(back.values, Y.values) < 1e-12
+    assert back.symmetry_defect == 0.0
