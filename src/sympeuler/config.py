@@ -179,7 +179,7 @@ def parse_run_config(raw: dict) -> RunConfig:
             raise ConfigError("initial.center: expected numbers")
 
     osec = _get(raw, "output", "", dict, default={})
-    _reject_unknown(osec, ("directory", "diag_every", "snapshot"), "output")
+    _reject_unknown(osec, ("diag_every", "snapshot"), "output")
     diag_every = _get(osec, "diag_every", "output", int, default=1)
     if diag_every < 1:
         raise ConfigError("output.diag_every: must be >= 1")
@@ -196,8 +196,7 @@ def parse_run_config(raw: dict) -> RunConfig:
         raise ConfigError("project_every: must be >= 0")
 
     esec = _get(raw, "experiment", "", dict, default={})
-    _reject_unknown(esec, ("K", "R", "cfl", "epsilon",
-                           "probe_points_per_axis", "t_final", "seeds",
+    _reject_unknown(esec, ("K", "R", "cfl", "epsilon", "t_final", "seeds",
                            "decay", "norm"), "experiment")
 
     return RunConfig(grid=grid, s=s, cutoff_radius=cutoff_radius,

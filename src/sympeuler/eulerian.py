@@ -15,7 +15,10 @@ X_{p(i), j} with p(i) = i^1, sigma_i = -1 for even i and +1 for odd i.
 The compressibility-defect term is skipped when the cutoff ball holds no
 retained mode besides k = 0. The compositional chain in operators.py
 (constraint_force, advection_term, eulerian_rhs) is the reference oracle
-for the kernel and for the diagnostics record.
+for the kernel and for the diagnostics record. The kernel takes its
+half-lattice symbols (derivatives, 2/3-rule mask, inverse Laplacian,
+frequency ball) from spectral.py, as the chain does, so both keep the
+same modes on every shell.
 
 rk4 is the one RK4 step of the package: integrate, the geodesic
 integrator and the flow-map reconstruction in lagrangian.py all call it.
@@ -41,9 +44,12 @@ from .grids import GridSpec
 from .interp import local_lagrange_sample
 from .operators import advection_term, constraint_force, project_symplectic
 from .spectral import (
+    _half,
     _half_derivative_symbols,
+    _half_inverse_laplacian,
     _sobolev_weights,
-    dealias_band,
+    ball_cutoff_mask,
+    dealias_mask,
     lebesgue_norms,
 )
 
@@ -184,28 +190,13 @@ class _SkewKernel:
     def __init__(self, grid: GridSpec, cutoff_radius: float):
         self.grid = grid
         d = grid.dim
-        npa = grid.points_per_axis
         self.axes = tuple(range(-d, 0))
-        xi0 = 2.0 * np.pi / grid.box_length
-        full = np.fft.fftfreq(npa, d=1.0 / npa)
-        half = np.fft.rfftfreq(npa, d=1.0 / npa)
-        lattice = [full] * (d - 1) + [half]
-        self.deriv = []
-        k2 = 0.0
-        band = dealias_band(npa)
-        mask = True
-        for ax, k in enumerate(lattice):
-            shape = [1] * d
-            shape[ax] = len(k)
-            kk = k.reshape(shape)
-            self.deriv.append(1j * xi0 * kk)
-            k2 = k2 + (xi0 * kk) ** 2
-            mask = mask & (np.abs(kk) <= band)
+        self.deriv = _half_derivative_symbols(grid)
+        mask = _half(grid, dealias_mask(grid))
         self.mask = mask
         self.neg_mask = -mask.astype(float)
-        with np.errstate(divide="ignore"):
-            inv_lap = np.where(k2 > 0.0, -1.0 / np.where(k2 > 0.0, k2, 1.0), 0.0)
-        chi = k2 <= cutoff_radius**2
+        inv_lap = _half_inverse_laplacian(grid)
+        chi = _half(grid, ball_cutoff_mask(grid, cutoff_radius))
         self.pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
         index = {pair: e for e, pair in enumerate(self.pairs)}
         # B_j = sigma_j Delta^{-1} div_{p(j)} S, div_k S = sum_i d_i S_ik,
@@ -222,7 +213,7 @@ class _SkewKernel:
                 terms.append(
                     (e, _sign(j) * sign * inv_lap * mask * self.deriv[i]))
             self.coef.append(terms)
-        self.defect = bool(np.any(chi & mask & (inv_lap != 0.0)))
+        self.defect = bool(np.any(chi * mask * inv_lap))
         self.chi = chi if self.defect else None
 
     def _skew(self, out: np.ndarray, entry) -> None:
@@ -297,10 +288,9 @@ def fast_force(u: VectorField, cutoff_radius: float = 1.0) -> VectorField:
 
 
 def diagnostics(state: EulerianState, s: float,
-                bkm_integral: float, prev: DiagnosticsRecord | None
-                ) -> DiagnosticsRecord:
+                prev: DiagnosticsRecord | None = None) -> DiagnosticsRecord:
     """Builds a record; the BKM integral is accumulated by trapezoid
-    between successive records (bkm_integral arg ignored when prev given).
+    between successive records, from zero at the first (prev None).
 
     One rfftn of u and one batched inverse transform of its Jacobian feed
     every column: H^s by the half-spectrum Parseval sum, and the
@@ -336,7 +326,7 @@ def diagnostics(state: EulerianState, s: float,
     sdiv_linf = float(np.abs(sdiv).max())
     integrand = float(np.sqrt(np.max(np.einsum("ij...,ij...->...", J, J))))
     if prev is None:
-        integral = bkm_integral
+        integral = 0.0
     else:
         integral = prev.bkm_integral + 0.5 * (state.t - prev.t) * (
             prev.bkm_integrand + integrand)
@@ -390,7 +380,7 @@ def integrate(u0: VectorField, t_final: float, dt: float,
     steps = step_count(t_final, dt)
     _check_finite(0.0, (u0.values,))
     state = EulerianState(0.0, u0)
-    rec = diagnostics(state, s, 0.0, None)
+    rec = diagnostics(state, s)
     records = [rec]
     hs_initial = max(rec.hs, 1e-300)
 
@@ -422,7 +412,7 @@ def integrate(u0: VectorField, t_final: float, dt: float,
         if record_velocity:
             velocities.append(state.u)
         if step % diag_every == 0 or step == steps:
-            rec = diagnostics(state, s, 0.0, records[-1])
+            rec = diagnostics(state, s, records[-1])
             records.append(rec)
             if rec.hs > 1e6 * hs_initial:
                 raise DiscretizationFailure(

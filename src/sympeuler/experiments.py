@@ -56,8 +56,10 @@ from .operators import (
     symplectic_gradient,
 )
 from .spectral import (
+    _half,
+    _half_derivative_symbols,
+    _half_inverse_laplacian,
     dealias_mask,
-    derivative_symbol,
     lebesgue_norms,
     riesz_transform,
     sobolev_norm,
@@ -105,13 +107,9 @@ def oracle_2d_solve(u0: VectorField, t_final: float, dt: float) -> VectorField:
     if grid.n != 1:
         raise ValueError("oracle is specific to n=1 (two dimensions)")
     steps = step_count(t_final, dt)
-    cut = grid.points_per_axis // 2 + 1
-    d1 = derivative_symbol(grid, 0)[:, :cut]
-    d2 = derivative_symbol(grid, 1)[:, :cut]
-    xi2 = grid.frequency_squared[:, :cut]
-    with np.errstate(divide="ignore"):
-        inv_lap = np.where(xi2 > 0.0, -1.0 / np.where(xi2 > 0.0, xi2, 1.0), 0.0)
-    mask = dealias_mask(grid)[:, :cut]
+    d1, d2 = _half_derivative_symbols(grid)
+    inv_lap = _half_inverse_laplacian(grid)
+    mask = _half(grid, dealias_mask(grid))
     mean = u0.values.mean(axis=(1, 2))
     # multipliers taking zeta to (u1, u2, d1 zeta, d2 zeta) without the mean
     symbols = np.stack(np.broadcast_arrays(-d2 * inv_lap, d1 * inv_lap, d1, d2))
@@ -217,16 +215,15 @@ def _prefix_stability(values) -> float:
     return half / full
 
 
-def probe_report(grid: GridSpec | None = None, s: float = 3.0,
-                 seed: int = 2024) -> dict:
-    """Runs the three probe sweeps; returns fitted constants and their
-    half-sweep stability ratios (1.0 = perfectly stable)."""
-    if grid is None:
-        grid = GridSpec(n=1, points_per_axis=128)
+def probe_report(s: float = 3.0) -> dict:
+    """Runs the three probe sweeps on the 2D N=128 grid; returns fitted
+    constants and their half-sweep stability ratios (1.0 = perfectly
+    stable)."""
+    grid = GridSpec(n=1, points_per_axis=128)
     band = (grid.points_per_axis - 1) // 3
 
     waves = list(range(1, band + 1, max(1, band // 16)))
-    comm = commutator_sweep(grid, s, seed, waves)
+    comm = commutator_sweep(grid, s, seed=2024, wavenumbers=waves)
 
     # wide box so the canonical sweep distances satisfy d <= L/4
     wide = GridSpec(n=1, points_per_axis=512, box_length=4.0 * np.pi)
@@ -270,8 +267,7 @@ def _pointwise_norm(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("i...,i...->...", values, values))
 
 
-def exp_via_flow(u0: VectorField, cfl: float = 0.7, cutoff_radius: float = 1.0,
-                 dt: float | None = None) -> DiffeoMap:
+def exp_via_flow(u0: VectorField, dt: float) -> DiffeoMap:
     """Time-1 flow map of the Eulerian solution (equivalent to the
     geodesic exponential; much cheaper for repeated probing).
 
@@ -279,15 +275,12 @@ def exp_via_flow(u0: VectorField, cfl: float = 0.7, cutoff_radius: float = 1.0,
     error is odd in a velocity boost, so it cancels between matched +eps
     and -eps runs but not between runs with independently chosen steps.
     """
-    if dt is None:
-        dt = cfl_timestep(u0, 1.0, cfl)
-    result = integrate(u0, 1.0, dt, cutoff_radius=cutoff_radius,
-                       diag_every=10 ** 9, record_velocity=True)
+    result = integrate(u0, 1.0, dt, diag_every=10 ** 9, record_velocity=True)
     return flow_from_velocity(result.velocities, dt)
 
 
 def find_probe_direction(u_star: VectorField, candidates, epsilon: float,
-                         exp_evaluator=exp_via_flow):
+                         exp_evaluator):
     """Central-difference directional derivative of exp at u_star; picks
     the candidate and point with the largest response.
 
@@ -335,7 +328,6 @@ class NonuniformConfig:
     m_star: float
     radii: np.ndarray
     constants: dict
-    cutoff_radius: float = 1.0
 
 
 @dataclasses.dataclass
@@ -388,7 +380,7 @@ def _candidate_builders(s: float):
 
 def _measure_constants(u_star: VectorField, R: float, s: float, seed: int,
                        w_star: VectorField, delta: VectorField,
-                       exp_evaluator, exp_evaluator_fine=None) -> dict:
+                       exp_evaluator, exp_fine) -> dict:
     """Empirical analogues of the composition/exponential constant chain
     on the radius-R ball around u_star."""
     grid = u_star.grid
@@ -426,16 +418,15 @@ def _measure_constants(u_star: VectorField, R: float, s: float, seed: int,
         dvel = VectorField(grid, pa.values - pb.values)
         c4 = max(c4, sobolev_norm(dmap, s) / sobolev_norm(dvel, s))
 
-    # C3: second derivative of exp along sampled directions. Uses the
-    # refined-step evaluator when given: the integrator's error is even
-    # along a boost, so the second difference keeps its O(dt^4) part
-    fine = exp_evaluator_fine if exp_evaluator_fine is not None else exp_evaluator
-    center_fine = fine(u_star)
+    # C3: second derivative of exp along sampled directions, through the
+    # refined-step evaluator: the integrator's error is even along a
+    # boost, so the second difference keeps its O(dt^4) part
+    center_fine = exp_fine(u_star)
     c3 = 0.0
     eps = 0.25 * R
     for h in (w_star, delta):
-        plus = fine(VectorField(grid, u_star.values + eps * h.values))
-        minus = fine(VectorField(grid, u_star.values - eps * h.values))
+        plus = exp_fine(VectorField(grid, u_star.values + eps * h.values))
+        minus = exp_fine(VectorField(grid, u_star.values - eps * h.values))
         second = (plus.displacement.values + minus.displacement.values
                   - 2.0 * center_fine.displacement.values) / eps**2
         c3 = max(c3, sobolev_norm(VectorField(grid, second), s))
@@ -454,8 +445,7 @@ def build_nonuniform_config(grid: GridSpec | None = None,
                             probe_grid: GridSpec | None = None,
                             s: float = 3.0, R: float = 0.5, K: int = 6,
                             seed: int = 7, epsilon: float = 0.05,
-                            cfl: float = 0.7,
-                            exp_evaluator=None) -> NonuniformConfig:
+                            cfl: float = 0.7) -> NonuniformConfig:
     """Measures m_star, x_star and the constant chain on the probe grid,
     then assembles the main-grid configuration with the radius sequence
     r_k = m_star / (8 k C2) and its resolution guards."""
@@ -480,22 +470,20 @@ def build_nonuniform_config(grid: GridSpec | None = None,
     u_star_probe = u_star_on(probe_grid)
     delta = random_symplectic(probe_grid, seed=seed + 17, decay=1.0, s=s,
                               norm=1.0)
-    exp_evaluator_fine = None
-    if exp_evaluator is None:
-        # one dt for every probe-phase solve; see exp_via_flow
-        speed = max_speed(u_star_probe) + max(epsilon, 0.5 * R) * max(
-            max_speed(f) for f in probe_candidates + [delta])
-        probe_dt = dt_for_speed(probe_grid, speed, 1.0, cfl)
-        fine_dt = dt_for_speed(probe_grid, speed, 1.0, 0.5 * cfl)
-        exp_evaluator = lambda u: exp_via_flow(u, dt=probe_dt)
-        exp_evaluator_fine = lambda u: exp_via_flow(u, dt=fine_dt)
+    # one dt for every probe-phase solve; see exp_via_flow
+    speed = max_speed(u_star_probe) + max(epsilon, 0.5 * R) * max(
+        max_speed(f) for f in probe_candidates + [delta])
+    probe_dt = dt_for_speed(probe_grid, speed, 1.0, cfl)
+    fine_dt = dt_for_speed(probe_grid, speed, 1.0, 0.5 * cfl)
+    exp_evaluator = lambda u: exp_via_flow(u, dt=probe_dt)
+    exp_fine = lambda u: exp_via_flow(u, dt=fine_dt)
 
     _, x_star, m_star, idx = find_probe_direction(
         u_star_probe, probe_candidates, epsilon, exp_evaluator)
     w_star_probe = probe_candidates[idx]
 
     constants = _measure_constants(u_star_probe, R, s, seed, w_star_probe,
-                                   delta, exp_evaluator, exp_evaluator_fine)
+                                   delta, exp_evaluator, exp_fine)
     c3c5 = constants["C3"] * constants["C5"]
     r_used = min(R, m_star / (16.0 * c3c5)) if c3c5 > 0 else R
 
@@ -554,8 +542,8 @@ def run_nonuniform(config: NonuniformConfig, cfl: float = 0.7,
         runs = []
         for w in (u0, u0_tilde):
             dt = cfl_timestep(w, 1.0, cfl)
-            runs.append(integrate(w, 1.0, dt, cutoff_radius=config.cutoff_radius,
-                                  diag_every=10 ** 9, trace_points=pts))
+            runs.append(integrate(w, 1.0, dt, diag_every=10 ** 9,
+                                  trace_points=pts))
         base, tilde = runs
         input_dist = sobolev_norm(
             VectorField(grid, u0_tilde.values - u0.values), s)

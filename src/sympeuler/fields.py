@@ -5,7 +5,8 @@ cache Fourier coefficients on first use: `rhat`, the rfftn half lattice
 of a field's independent components (the d(d-1)/2 upper entries of a
 skew field), which `from_rspectral` inverts in one batched irfftn on
 first use of `values`. Instances are treated as immutable: operations return new fields and
-never mutate the underlying arrays.
+never mutate the underlying arrays. Scaling by a number is the one
+arithmetic operator; sums and differences are written on `.values`.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ def _irfftn(coeffs: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class _HalfSpectrum:
-    """rhat and from_rspectral, shared by the three field kinds; each says
-    how its independent components stack (_components, _values_from)."""
+    """rhat, from_rspectral and scaling by a number, shared by the three
+    field kinds; each says how its independent components stack
+    (_components, _values_from)."""
 
     def _components(self) -> np.ndarray:
         return self.values
@@ -70,6 +72,11 @@ class _HalfSpectrum:
         out._rhat = np.asarray(coeffs, dtype=complex)
         return out
 
+    def __mul__(self, c: float):
+        return type(self)(self.grid, self.values * float(c))
+
+    __rmul__ = __mul__
+
     def __getattr__(self, name: str):
         # reached only for attributes the instance lacks: the values of a
         # field built by from_rspectral, before their first use
@@ -93,23 +100,6 @@ class ScalarField(_HalfSpectrum):
         self.values = np.asarray(self.values, dtype=float)
         _check_grid(self.grid, self.values, 0)
 
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        return ScalarField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        return ScalarField(self.grid, self.values - other.values)
-
-    def __mul__(self, c: float) -> "ScalarField":
-        return ScalarField(self.grid, self.values * float(c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.values)
-
 
 @dataclass(eq=False)
 class VectorField(_HalfSpectrum):
@@ -130,33 +120,6 @@ class VectorField(_HalfSpectrum):
                 f"expected {self.grid.dim} components, got {self.values.shape[0]}"
             )
         _check_grid(self.grid, self.values, 1)
-
-    @classmethod
-    def from_components(cls, components: list[ScalarField]) -> "VectorField":
-        grid = components[0].grid
-        if len(components) != grid.dim:
-            raise ValueError(f"expected {grid.dim} components")
-        for c in components[1:]:
-            if not grid.compatible(c.grid):
-                raise ValueError("components live on incompatible grids")
-        return cls(grid, np.stack([c.values for c in components]))
-
-    def component(self, i: int) -> ScalarField:
-        return ScalarField(self.grid, self.values[i])
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.grid, self.values - other.values)
-
-    def __mul__(self, c: float) -> "VectorField":
-        return VectorField(self.grid, self.values * float(c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.grid, -self.values)
 
 
 @dataclass(eq=False)
@@ -181,9 +144,6 @@ class SkewMatrixField(_HalfSpectrum):
             raise ValueError(f"expected leading matrix axes ({d}, {d})")
         _check_grid(self.grid, self.values, 2)
 
-    def entry(self, i: int, j: int) -> ScalarField:
-        return ScalarField(self.grid, self.values[i, j])
-
     def _components(self) -> np.ndarray:
         i, j = np.triu_indices(self.grid.dim, 1)
         return self.values[i, j]
@@ -195,35 +155,6 @@ class SkewMatrixField(_HalfSpectrum):
         values[i, j] = comps
         values[j, i] = -comps
         return values
-
-    @property
-    def symmetry_defect(self) -> float:
-        """Grid max of |Y + Y^T|; zero for an exactly skew field."""
-        return float(np.abs(self.values + np.swapaxes(self.values, 0, 1)).max())
-
-    @classmethod
-    def from_upper_entries(cls, grid: GridSpec, entries: dict) -> "SkewMatrixField":
-        """Build from entries {(i, j): array} with i < j; the rest by skewness."""
-        d = grid.dim
-        values = np.zeros((d, d) + grid.shape)
-        for (i, j), arr in entries.items():
-            if not i < j:
-                raise ValueError("entries must be strictly upper triangular")
-            arr = np.asarray(arr, dtype=float)
-            values[i, j] = arr
-            values[j, i] = -arr
-        return cls(grid, values)
-
-    def __add__(self, other: "SkewMatrixField") -> "SkewMatrixField":
-        return SkewMatrixField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "SkewMatrixField") -> "SkewMatrixField":
-        return SkewMatrixField(self.grid, self.values - other.values)
-
-    def __mul__(self, c: float) -> "SkewMatrixField":
-        return SkewMatrixField(self.grid, self.values * float(c))
-
-    __rmul__ = __mul__
 
 
 def skew_part(grid: GridSpec, matrix_values: np.ndarray) -> SkewMatrixField:

@@ -89,20 +89,3 @@ class GridSpec:
         for xi in self.frequency_arrays():
             out = out + xi**2
         return out
-
-    def frequency(self, k) -> np.ndarray:
-        """Frequency vector xi = 2*pi*k/L for an integer multi-index k."""
-        k = np.asarray(k, dtype=float)
-        if k.shape != (self.dim,):
-            raise ValueError(f"expected a multi-index of length {self.dim}")
-        half = self.points_per_axis // 2
-        if np.any(k < -half) or np.any(k >= half):
-            raise ValueError("multi-index outside [-N/2, N/2)")
-        return 2.0 * np.pi * k / self.box_length
-
-    def compatible(self, other: "GridSpec") -> bool:
-        return (
-            self.n == other.n
-            and self.points_per_axis == other.points_per_axis
-            and np.isclose(self.box_length, other.box_length, rtol=1e-13, atol=0.0)
-        )

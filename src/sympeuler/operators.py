@@ -306,7 +306,8 @@ def riesz_commutator_ratio(u: VectorField, f: ScalarField, axis: int, s: float) 
         return two_thirds_truncate(ScalarField(grid, total))
 
     rf = riesz_transform(f, axis)
-    commutator = advect(rf) - riesz_transform(advect(f), axis)
+    commutator = ScalarField(
+        grid, advect(rf).values - riesz_transform(advect(f), axis).values)
     l2_comm, _ = lebesgue_norms(commutator)
     l2_f, _ = lebesgue_norms(f)
     denom = sobolev_norm(u, s) * l2_f

@@ -2,9 +2,10 @@
 
 Layout: one UTF-8 JSON header line ending in a newline, then raw
 little-endian float64 blocks in row-major axis order, one block per
-component. Spectral snapshots store two blocks per component (real part
-then imaginary part). Diffeomorphisms store their displacement in
-physical representation with a map=true header flag.
+component. Values are stored as physical samples; the header says so
+with "representation": "physical", and the reader rejects any other
+value. Diffeomorphisms store their displacement with a map=true header
+flag.
 """
 
 from __future__ import annotations
@@ -49,15 +50,9 @@ def _header_for(obj) -> tuple[dict, GridSpec]:
     }, grid
 
 
-def write_snapshot(path, obj, representation: str = "physical") -> None:
+def write_snapshot(path, obj) -> None:
     """Writes a ScalarField, VectorField, or DiffeoMap atomically."""
     header, grid = _header_for(obj)
-    if representation not in ("physical", "spectral"):
-        raise ValueError(f"unknown representation {representation!r}")
-    if isinstance(obj, DiffeoMap) and representation != "physical":
-        raise ValueError("maps are stored in physical representation")
-    header["representation"] = representation
-
     if isinstance(obj, DiffeoMap):
         values = obj.displacement.values
     elif isinstance(obj, ScalarField):
@@ -67,12 +62,7 @@ def write_snapshot(path, obj, representation: str = "physical") -> None:
 
     blocks = []
     for comp in values:
-        if representation == "physical":
-            blocks.append(np.ascontiguousarray(comp, dtype=_LE64))
-        else:
-            hat = np.fft.fftn(comp)
-            blocks.append(np.ascontiguousarray(hat.real, dtype=_LE64))
-            blocks.append(np.ascontiguousarray(hat.imag, dtype=_LE64))
+        blocks.append(np.ascontiguousarray(comp, dtype=_LE64))
 
     head = (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
     _atomic_write(path, head, *blocks)
@@ -97,24 +87,15 @@ def read_snapshot(path):
         is_map = bool(header.get("map", False))
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(f"bad snapshot header: {exc}") from exc
-    if representation not in ("physical", "spectral"):
+    if representation != "physical":
         raise SnapshotError(f"unknown representation {representation!r}")
 
-    per_comp = 1 if representation == "physical" else 2
-    expected = comps * per_comp * grid.num_points * _LE64.itemsize
+    expected = comps * grid.num_points * _LE64.itemsize
     if len(payload) != expected:
         raise SnapshotError(
             f"payload is {len(payload)} bytes, expected {expected}")
-
     flat = np.frombuffer(payload, dtype=_LE64)
-    blocks = flat.reshape((comps * per_comp,) + grid.shape)
-    if representation == "physical":
-        values = np.array(blocks)
-    else:
-        values = np.stack([
-            np.real(np.fft.ifftn(blocks[2 * i] + 1j * blocks[2 * i + 1]))
-            for i in range(comps)
-        ])
+    values = np.array(flat.reshape((comps,) + grid.shape))
 
     if is_map:
         if comps != grid.dim:

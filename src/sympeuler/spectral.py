@@ -44,15 +44,6 @@ __all__ = [
 # multiplier building blocks
 
 
-@functools.lru_cache(maxsize=64)
-def _derivative_symbols(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """i*xi_j multiplier per axis, with the Nyquist row zeroed (even N)."""
-    nyquist = -(grid.points_per_axis // 2) * (2.0 * np.pi / grid.box_length)
-    return tuple(
-        1j * np.where(xi == nyquist, 0.0, xi) for xi in grid.frequency_arrays()
-    )
-
-
 def _half(grid: GridSpec, symbol: np.ndarray) -> np.ndarray:
     """A full-lattice (broadcastable) symbol cut to the rfftn half lattice."""
     return symbol[..., : grid.points_per_axis // 2 + 1]
@@ -60,14 +51,17 @@ def _half(grid: GridSpec, symbol: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _half_derivative_symbols(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """Nyquist-zeroed i*xi_j on the rfftn half lattice."""
-    return tuple(_half(grid, sym) for sym in _derivative_symbols(grid))
+    """i*xi_j per axis on the rfftn half lattice, with the Nyquist row
+    zeroed (even N)."""
+    nyquist = -(grid.points_per_axis // 2) * (2.0 * np.pi / grid.box_length)
+    return tuple(_half(grid, 1j * np.where(xi == nyquist, 0.0, xi))
+                 for xi in grid.frequency_arrays())
 
 
-def derivative_symbol(grid: GridSpec, axis: int) -> np.ndarray:
+def _half_derivative(grid: GridSpec, axis: int) -> np.ndarray:
     if not 0 <= axis < grid.dim:
         raise ValueError(f"axis must be in [0, {grid.dim})")
-    return _derivative_symbols(grid)[axis]
+    return _half_derivative_symbols(grid)[axis]
 
 
 def dealias_band(points_per_axis: int) -> int:
@@ -107,7 +101,7 @@ def two_thirds_truncate(u):
 
 def partial_derivative(u, axis: int):
     """Spectral partial derivative along the given axis (0-based)."""
-    return _apply_symbol(u, _half(u.grid, derivative_symbol(u.grid, axis)))
+    return _apply_symbol(u, _half_derivative(u.grid, axis))
 
 
 def _half_inverse_laplacian(grid: GridSpec) -> np.ndarray:
@@ -126,7 +120,7 @@ def riesz_transform(u, axis: int):
     grid = u.grid
     xi2 = _half(grid, grid.frequency_squared)
     inv_norm = np.where(xi2 > 0.0, 1.0 / np.sqrt(np.where(xi2 > 0.0, xi2, 1.0)), 0.0)
-    return _apply_symbol(u, _half(grid, derivative_symbol(grid, axis)) * inv_norm)
+    return _apply_symbol(u, _half_derivative(grid, axis) * inv_norm)
 
 
 def bessel_potential(u, s: float):
@@ -264,8 +258,8 @@ def l2_inner(u, v) -> float:
 # spectral refinement (zero padding)
 
 
-def spectral_upsample(values: np.ndarray, grid: GridSpec, factor: int = 2) -> np.ndarray:
-    """Resample on a factor-times-finer grid by Fourier zero padding.
+def spectral_upsample(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Resample on the twice-finer grid by Fourier zero padding.
 
     Accepts stacked arrays with leading component axes. The unpaired
     Nyquist coefficient is split across +-N/2 on the fine lattice, which
@@ -276,17 +270,13 @@ def spectral_upsample(values: np.ndarray, grid: GridSpec, factor: int = 2) -> np
     build folds the same zero padding and the spline prefilter into one
     real-FFT pass; the tests compare the two.
     """
-    if factor < 1 or int(factor) != factor:
-        raise ValueError("factor must be a positive integer")
     values = np.asarray(values)
     lead = values.shape[: values.ndim - grid.dim]
     if values.shape[len(lead):] != grid.shape:
         raise ValueError("values do not match grid shape")
-    if factor == 1:
-        return values.astype(float, copy=True)
 
     N = grid.points_per_axis
-    M = factor * N
+    M = 2 * N
     axes = tuple(range(len(lead), len(lead) + grid.dim))
     hat = np.fft.fftn(values, axes=axes)
     half = N // 2
@@ -310,5 +300,5 @@ def spectral_upsample(values: np.ndarray, grid: GridSpec, factor: int = 2) -> np
             dst_nyq[ax] = dst_idx
             big[tuple(dst_nyq)] = 0.5 * hat[tuple(src_nyq)]
         hat = big
-    out = np.real(np.fft.ifftn(hat, axes=axes)) * float(factor**grid.dim)
+    out = np.real(np.fft.ifftn(hat, axes=axes)) * float(2**grid.dim)
     return out

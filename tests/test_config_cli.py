@@ -299,6 +299,19 @@ def config_error_of(capsys, *argv):
     return payload["message"]
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("output", "directory", "elsewhere"),
+    ("experiment", "probe_points_per_axis", 32),
+])
+def test_cli_rejects_keys_nothing_reads(tmp_path, capsys, section, key, value):
+    # a key no code reads would silently fall back to --out or N/2
+    cfg = write_cfg(tmp_path, {"grid": {"points_per_axis": 32},
+                               "time": {"cfl": 0.5}, section: {key: value}})
+    message = config_error_of(capsys, "run-eulerian", "--config", cfg,
+                              "--out", str(tmp_path / "out"))
+    assert message.startswith(f"{section}.{key}: unknown key")
+
+
 def test_cli_eulerian_dt_must_divide_t_final(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"grid": {"points_per_axis": 32},
                                "time": {"t_final": 1.0, "dt": 0.3}})

@@ -104,7 +104,7 @@ def test_fast_rhs_matches_compositional_small_box():
         assert np.max(np.abs(a.values - b.values)) < 1e-12 * scale
 
 
-@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0, 4.0, np.sqrt(13.0)])
 def test_fast_force_matches_constraint_force(grid64, radius):
     for u in (random_vector(grid64, seed=43), random_symplectic(grid64, seed=44)):
         a = constraint_force(u, radius)
@@ -119,7 +119,7 @@ def test_kernel_results_survive_later_calls(grid64):
     first = fast_rhs(u)
     kept = first.values.copy()
     fast_force(w, 2.0)
-    diagnostics(EulerianState(0.0, w), 3.0, 0.0, None)
+    diagnostics(EulerianState(0.0, w), 3.0)
     assert np.array_equal(first.values, kept)
     assert np.array_equal(fast_rhs(u).values, kept)
 
@@ -156,7 +156,7 @@ def test_diagnostics_match_operators(grid, kind):
     else:
         draw = random_vector if kind == "generic" else random_symplectic
         u = draw(grid, seed=45)
-    rec = diagnostics(EulerianState(0.0, u), 3.0, 0.0, None)
+    rec = diagnostics(EulerianState(0.0, u), 3.0)
     # on symplectic data P(u) is rounding noise in both computations
     floor = 1e-12 * sobolev_norm(u, 1.0) if kind == "symplectic" else 0.0
     for name, want in reference_record(u, 3.0).items():

@@ -30,37 +30,21 @@ def test_scalar_shape_guard(grid32):
         ScalarField(grid32, np.zeros((8, 8)))
 
 
-def test_vector_components_share_grid(grid32):
-    u = random_vector(grid32, seed=2)
-    assert all(u.component(i).grid is grid32 for i in range(grid32.dim))
-    rebuilt = VectorField.from_components([u.component(0), u.component(1)])
-    assert np.array_equal(rebuilt.values, u.values)
-
-
 def test_vector_arithmetic(grid32):
+    # scaling by a number is the one operator; it keeps kind and grid
     u = random_vector(grid32, seed=3)
-    v = random_vector(grid32, seed=4)
-    w = (u + v) - v
-    assert rel_err(w.values, u.values) < 1e-14
-    assert np.array_equal((-u).values, (u * -1.0).values)
+    w = u * -2.0
+    assert isinstance(w, VectorField) and w.grid is grid32
+    assert np.array_equal(w.values, -2.0 * u.values)
+    assert np.array_equal((-2.0 * u).values, w.values)
 
 
 def test_skew_materialized_matrix(grid32):
     Y = random_skew(grid32, seed=5)
     transposed = np.swapaxes(Y.values, 0, 1)
     assert np.max(np.abs(Y.values + transposed)) == 0.0
-    assert Y.symmetry_defect == 0.0
-    assert np.max(np.abs(Y.entry(0, 0).values)) == 0.0
-    assert np.array_equal(Y.entry(1, 0).values, -Y.entry(0, 1).values)
-
-
-def test_skew_from_upper_entries(grid32):
-    f = random_potential(grid32, seed=6)
-    Y = SkewMatrixField.from_upper_entries(grid32, {(0, 1): f.values})
-    assert np.array_equal(Y.entry(0, 1).values, f.values)
-    assert np.array_equal(Y.entry(1, 0).values, -f.values)
-    with pytest.raises(ValueError):
-        SkewMatrixField.from_upper_entries(grid32, {(1, 0): f.values})
+    assert np.max(np.abs(Y.values[0, 0])) == 0.0
+    assert np.array_equal(Y.values[1, 0], -Y.values[0, 1])
 
 
 def test_skew_part_antisymmetrizes(grid32):
@@ -69,7 +53,7 @@ def test_skew_part_antisymmetrizes(grid32):
     Y = skew_part(grid32, A)
     expected = A - np.swapaxes(A, 0, 1)
     assert np.array_equal(Y.values, expected)
-    assert Y.symmetry_defect == 0.0
+    assert np.max(np.abs(Y.values + np.swapaxes(Y.values, 0, 1))) == 0.0
 
 
 def test_four_dimensional_round_trip(grid4d):
@@ -85,4 +69,4 @@ def test_skew_round_trip_through_upper_entries(grid4d):
     assert Y.rhat.shape[0] == 6
     back = SkewMatrixField.from_rspectral(grid4d, Y.rhat)
     assert rel_err(back.values, Y.values) < 1e-12
-    assert back.symmetry_defect == 0.0
+    assert np.max(np.abs(back.values + np.swapaxes(back.values, 0, 1))) == 0.0

@@ -11,7 +11,7 @@ from sympeuler.spectral import spectral_upsample
 
 
 def _oracle_coeffs(grid, values):
-    fine = spectral_upsample(values, grid, factor=2)
+    fine = spectral_upsample(values, grid)
     flat = fine.reshape((-1,) + fine.shape[values.ndim - grid.dim:])
     return np.stack([ndimage.spline_filter(c, order=5, mode="grid-wrap")
                      for c in flat])

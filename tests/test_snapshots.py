@@ -44,15 +44,6 @@ def test_map_round_trip(tmp_path, grid32):
     assert header["representation"] == "physical"
 
 
-def test_spectral_round_trip(tmp_path, grid32):
-    u = random_vector(grid32, seed=4)
-    path = tmp_path / "u.snap"
-    write_snapshot(path, u, representation="spectral")
-    v = read_snapshot(path)
-    scale = np.max(np.abs(u.values))
-    assert np.max(np.abs(v.values - u.values)) < 1e-12 * max(scale, 1.0)
-
-
 def test_header_contents(tmp_path, grid4d):
     u = VectorField(grid4d, np.zeros((4,) + grid4d.shape))
     path = tmp_path / "u.snap"
@@ -66,16 +57,18 @@ def test_header_contents(tmp_path, grid4d):
     assert len(payload) == 4 * grid4d.num_points * 8
 
 
-def test_unknown_representation_rejected(tmp_path, grid32):
-    u = random_vector(grid32, seed=5)
-    with pytest.raises(ValueError):
-        write_snapshot(tmp_path / "u.snap", u, representation="npz")
-
-
-def test_spectral_map_rejected(tmp_path, grid32):
-    phi = DiffeoMap.identity(grid32)
-    with pytest.raises(ValueError):
-        write_snapshot(tmp_path / "phi.snap", phi, representation="spectral")
+def test_spectral_representation_rejected(tmp_path, grid32):
+    # snapshots hold physical samples only; a spectral header, even with
+    # a payload of the old two-blocks-per-component size, is refused
+    u = random_vector(grid32, seed=4)
+    path = tmp_path / "u.snap"
+    write_snapshot(path, u)
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header["representation"] = "spectral"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload + payload)
+    with pytest.raises(SnapshotError):
+        read_snapshot(path)
 
 
 def test_corrupt_header(tmp_path, grid32):

@@ -83,7 +83,7 @@ def test_sobolev_norm_rejects_negative_s(grid32):
 
 def test_sobolev_norm_vector_root_sum_squares(grid32):
     f = sin_mode(grid32)
-    u = VectorField.from_components([f, f])
+    u = VectorField(grid32, np.stack([f.values, f.values]))
     assert np.isclose(sobolev_norm(u, 1.5),
                       np.sqrt(2.0) * sobolev_norm(f, 1.5))
 
@@ -283,7 +283,7 @@ def test_truncate_idempotent(grid64):
 
 def test_spectral_upsample_exact_for_sine(grid32):
     f = sin_mode(grid32)
-    fine_vals = spectral_upsample(f.values, grid32, factor=2)
+    fine_vals = spectral_upsample(f.values, grid32)
     fine = GridSpec(n=1, points_per_axis=64, box_length=grid32.box_length)
     x1 = fine.coordinate_arrays()[0]
     assert np.max(np.abs(fine_vals - np.sin(x1) * np.ones(fine.shape))) < 1e-12
