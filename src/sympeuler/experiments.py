@@ -271,6 +271,10 @@ def exp_via_flow(u0: VectorField, dt: float) -> DiffeoMap:
     """Time-1 flow map of the Eulerian solution (equivalent to the
     geodesic exponential; much cheaper for repeated probing).
 
+    The map comes from the recorded velocities by RK4 at 2*dt, each
+    middle sample serving as the exact midpoint (flow_from_velocity); only
+    an odd step count interpolates one midpoint in time.
+
     Finite-difference probes of exp must pass a shared dt: integrator
     error is odd in a velocity boost, so it cancels between matched +eps
     and -eps runs but not between runs with independently chosen steps.

@@ -14,12 +14,14 @@ resolutions).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .fields import ScalarField, SkewMatrixField, VectorField
 from .grids import GridSpec
 from .operators import symplectic_gradient
-from .spectral import dealias_mask, sobolev_norm
+from .spectral import _half, _xi_magnitude, dealias_mask, sobolev_norm
 
 __all__ = [
     "random_potential",
@@ -35,15 +37,21 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=16)
+def _random_filter(grid: GridSpec, decay: float) -> np.ndarray:
+    """exp(-decay |xi| / xi_0) on the dealiased rfftn half lattice, mean-free."""
+    xi0 = 2.0 * np.pi / grid.box_length
+    filt = np.exp(-decay * _half(grid, _xi_magnitude(grid)) / xi0)
+    filt *= _half(grid, dealias_mask(grid))
+    filt.flat[0] = 0.0
+    return filt
+
+
 def _random_scalar_values(grid: GridSpec, rng: np.random.Generator,
                           decay: float) -> np.ndarray:
     noise = rng.standard_normal(grid.shape)
-    hat = np.fft.fftn(noise)
-    xi0 = 2.0 * np.pi / grid.box_length
-    hat *= np.exp(-decay * np.sqrt(grid.frequency_squared) / xi0)
-    hat *= dealias_mask(grid)
-    hat.flat[0] = 0.0
-    return np.real(np.fft.ifftn(hat))
+    hat = np.fft.rfftn(noise) * _random_filter(grid, decay)
+    return np.fft.irfftn(hat, s=grid.shape, axes=tuple(range(grid.dim)))
 
 
 def random_potential(grid: GridSpec, seed: int, decay: float = 0.5,

@@ -6,7 +6,9 @@ B-splines). The geodesic vector field on (map, velocity) pairs is
 (v, B(v o phi^{-1}) o phi). It, and the reconstruction of a flow map
 from stored Eulerian velocities, step through eulerian.rk4, the stepper
 of the Eulerian integrator, so the two formulations are integrated by the
-same arithmetic and can be compared step for step.
+same arithmetic. The reconstruction steps at twice the sample spacing:
+the sample between two others is the exact RK4 midpoint, and only an odd
+last interval needs a midpoint interpolated in time.
 """
 
 from __future__ import annotations
@@ -128,8 +130,11 @@ def _apply(A: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("ij...,j...->i...", A, w)
 
 
-def invert(phi: DiffeoMap, tol: float = 1e-10, max_iter: int = 200,
-           near: _LastInversion | None = None) -> DiffeoMap:
+_INVERT_TOL = 1e-10     # max-norm change of psi between sweeps at convergence
+_INVERT_MAX_ITER = 200
+
+
+def invert(phi: DiffeoMap, near: _LastInversion | None = None) -> DiffeoMap:
     """Fixed-point inversion psi_{k+1} = -displacement o (id + psi_k).
 
     The iteration starts from the first-order update of an earlier
@@ -138,7 +143,7 @@ def invert(phi: DiffeoMap, tol: float = 1e-10, max_iter: int = 200,
     inversion is the identity's (all zero), which gives the Taylor start
     -d + J d. With `near`, it is read for the start and overwritten with
     this inversion on success. The start changes only the sweep count:
-    the result is the fixed point to within `tol`, whatever the start.
+    the result is the fixed point to within _INVERT_TOL, whatever the start.
     """
     J = jacobian(phi.displacement)
     # the pointwise Frobenius norm bounds the spectral norm from above, so
@@ -156,16 +161,17 @@ def invert(phi: DiffeoMap, tol: float = 1e-10, max_iter: int = 200,
     delta = phi.displacement.values - near.displacement
     psi = (near.inverse - delta + _apply(J, delta)
            - _apply(J - near.gradient, near.inverse))
-    for _ in range(max_iter):
+    for _ in range(_INVERT_MAX_ITER):
         new = -interp((coords + psi) % grid.box_length)
         update = float(np.max(np.abs(new - psi)))
         psi = new
-        if update < tol:
+        if update < _INVERT_TOL:
             near.displacement = phi.displacement.values
             near.gradient = J
             near.inverse = psi
             return DiffeoMap(grid, VectorField(grid, psi))
-    raise InversionError(f"no convergence after {max_iter} iterations")
+    raise InversionError(
+        f"no convergence after {_INVERT_MAX_ITER} iterations")
 
 
 def symplectic_residual(phi: DiffeoMap) -> float:
@@ -223,8 +229,11 @@ def exp_map(u0: VectorField, dt: float = 0.01,
 def flow_from_velocity(velocities: list[VectorField], dt: float) -> DiffeoMap:
     """Integrates phi_t = u(t) o phi from stored velocity samples.
 
-    velocities[i] is u at t = i*dt; mid-step values come from cubic
-    temporal interpolation (one-sided at the ends), matching RK4's order.
+    velocities[i] is u at t = i*dt. The flow is smooth in time, so it
+    steps at 2*dt over pairs of intervals, whose middle sample is the exact
+    RK4 midpoint: stage c=0 takes sample i, c=1/2 sample i+1 and c=1
+    sample i+2. An odd step count ends with one dt step whose midpoint is
+    cubic in time through the last (up to) four samples.
     """
     if len(velocities) < 2:
         raise ValueError("need at least two velocity samples")
@@ -232,23 +241,30 @@ def flow_from_velocity(velocities: list[VectorField], dt: float) -> DiffeoMap:
     steps = len(velocities) - 1
     coords = grid.coordinate_stack()
 
-    def half_field(i: int) -> np.ndarray:
-        base = min(max(i - 1, 0), max(steps - 3, 0))
-        count = min(4, steps + 1 - base)
-        w = _lagrange_weights(np.asarray(i + 0.5 - base), count)
-        return sum(w[j] * velocities[base + j].values for j in range(count))
+    def sample(i: int) -> PeriodicInterpolator:
+        return PeriodicInterpolator(grid, velocities[i].values)
 
     def rhs(c, y):
-        # the stage offset picks the field: u(t_i), u(t_i + dt/2), u(t_i + dt)
-        field = {0.0: cur, 0.5: mid, 1.0: nxt}[c]
-        return (field(y[0] % grid.box_length),)
+        # the stage offset picks the field: start, midpoint or end
+        return (fields[c](y[0] % grid.box_length),)
 
     y = (coords,)
-    cur = PeriodicInterpolator(grid, velocities[0].values)
-    for i in range(steps):
-        mid = PeriodicInterpolator(grid, half_field(i))
-        nxt = PeriodicInterpolator(grid, velocities[i + 1].values)
+    fields = {1.0: sample(0)}
+    for i in range(0, steps - 1, 2):
+        # the last step's end field carries over; its other two are freed
+        # before the next two are built, which keeps the peak memory down
+        fields = {0.0: fields[1.0]}
+        fields[0.5] = sample(i + 1)
+        fields[1.0] = sample(i + 2)
+        y = rk4(rhs, y, 2.0 * dt)
+        _check_finite((i + 2) * dt, y, "flow map")
+    if steps % 2:
+        fields = {0.0: fields[1.0]}
+        base = max(steps - 3, 0)
+        w = _lagrange_weights(np.asarray(steps - 0.5 - base), steps + 1 - base)
+        mid = sum(w[j] * velocities[base + j].values for j in range(len(w)))
+        fields[0.5] = PeriodicInterpolator(grid, mid)
+        fields[1.0] = sample(steps)
         y = rk4(rhs, y, dt)
-        _check_finite((i + 1) * dt, y, "flow map")
-        cur = nxt
+        _check_finite(steps * dt, y, "flow map")
     return DiffeoMap(grid, VectorField(grid, y[0] - coords))

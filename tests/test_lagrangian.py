@@ -308,6 +308,62 @@ def test_flow_shear_characteristics():
     assert np.max(np.abs(phi.displacement.values[1])) < 1e-12
 
 
+def test_flow_pair_step_takes_the_middle_sample_as_midpoint():
+    # one 2 dt step through samples (0, u, 0) of a steady shear: k1 = k4 = 0
+    # and k2 = k3 = u, so x + (4/3) dt u; a midpoint interpolated between
+    # the ends, or sample i+2 standing in for i+1, gives the identity
+    u = steady_shear(GRID32, amplitude=0.3)
+    z = VectorField(GRID32, np.zeros_like(u.values))
+    dt = 0.05
+    phi = flow_from_velocity([z, u, z], dt)
+    # exact up to the interpolator's rounding at grid nodes (4e-16)
+    gap = phi.displacement.values - (4.0 / 3.0) * dt * u.values
+    assert np.max(np.abs(gap)) < 1e-14
+
+
+def _time_shear(steps, t_final=1.0, amp=0.1):
+    """Samples at t = i dt of u = amp f(t) sin(x2) e1, f(t) = exp(2t), and
+    the flow's x1 displacement per unit integral of f, amp sin(x2)."""
+    dt = t_final / steps
+    profile = amp * np.sin(GRID32.coordinate_arrays()[1]) * np.ones(GRID32.shape)
+    f = np.exp(2.0 * dt * np.arange(steps + 1))
+    samples = [VectorField(GRID32, np.stack([fi * profile,
+                                             np.zeros(GRID32.shape)]))
+               for fi in f]
+    return samples, dt, f, profile
+
+
+def test_flow_pair_steps_converge_at_fourth_order():
+    # x2 is frozen, so the flow integrates f: on even step counts RK4 at
+    # 2 dt with exact midpoints is Simpson's rule, and its error falls 16x
+    # per halving of dt
+    errors = []
+    for steps in (4, 8, 16):
+        samples, dt, _, profile = _time_shear(steps)
+        phi = flow_from_velocity(samples, dt)
+        exact = 0.5 * (np.exp(2.0) - 1.0) * profile
+        errors.append(np.max(np.abs(phi.displacement.values[0] - exact)))
+    ratios = [errors[k] / errors[k + 1] for k in range(2)]
+    assert all(15.0 < r < 16.5 for r in ratios), ratios
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_flow_odd_tail_is_one_step_with_cubic_midpoint(steps):
+    # pairs of intervals first, then one dt step whose midpoint sample is
+    # cubic in time through the last four samples (linear for one interval)
+    samples, dt, f, profile = _time_shear(steps)
+    if steps == 1:
+        pairs, tail_mid = 0.0, 0.5 * (f[0] + f[1])
+    else:
+        pairs = (2.0 * dt / 6.0) * (f[0] + 4.0 * f[1] + f[2])
+        tail_mid = (f[0] - 5.0 * f[1] + 15.0 * f[2] + 5.0 * f[3]) / 16.0
+    tail = (dt / 6.0) * (f[-2] + 4.0 * tail_mid + f[-1])
+    phi = flow_from_velocity(samples, dt)
+    gap = phi.displacement.values[0] - (pairs + tail) * profile
+    assert np.max(np.abs(gap)) < 5e-15
+    assert np.max(np.abs(phi.displacement.values[1])) == 0.0
+
+
 def test_flow_of_solution_is_volume_preserving():
     # divergence-free velocity history: det(d phi) = 1 along the flow
     u0 = small_symplectic(GRID, seed=64, amp=0.3)
