@@ -44,9 +44,9 @@ from .grids import GridSpec
 from .interp import local_lagrange_sample
 from .operators import advection_term, constraint_force, project_symplectic
 from .spectral import (
-    _half,
     _half_derivative_symbols,
     _half_inverse_laplacian,
+    _half_shape,
     _sobolev_weights,
     ball_cutoff_mask,
     dealias_mask,
@@ -162,9 +162,8 @@ def _work_buffers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     as much as the transform itself.
     """
     d = grid.dim
-    half_shape = grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)
     rows = 2 * d + d * d
-    return (np.empty((rows,) + half_shape, dtype=complex),
+    return (np.empty((rows,) + _half_shape(grid), dtype=complex),
             np.empty((rows,) + grid.shape),
             np.empty((d * d,) + grid.shape))
 
@@ -192,11 +191,11 @@ class _SkewKernel:
         d = grid.dim
         self.axes = tuple(range(-d, 0))
         self.deriv = _half_derivative_symbols(grid)
-        mask = _half(grid, dealias_mask(grid))
+        mask = dealias_mask(grid)
         self.mask = mask
         self.neg_mask = -mask.astype(float)
         inv_lap = _half_inverse_laplacian(grid)
-        chi = _half(grid, ball_cutoff_mask(grid, cutoff_radius))
+        chi = ball_cutoff_mask(grid, cutoff_radius)
         self.pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
         index = {pair: e for e, pair in enumerate(self.pairs)}
         # B_j = sigma_j Delta^{-1} div_{p(j)} S, div_k S = sum_i d_i S_ik,

@@ -56,7 +56,6 @@ from .operators import (
     symplectic_gradient,
 )
 from .spectral import (
-    _half,
     _half_derivative_symbols,
     _half_inverse_laplacian,
     dealias_mask,
@@ -109,7 +108,7 @@ def oracle_2d_solve(u0: VectorField, t_final: float, dt: float) -> VectorField:
     steps = step_count(t_final, dt)
     d1, d2 = _half_derivative_symbols(grid)
     inv_lap = _half_inverse_laplacian(grid)
-    mask = _half(grid, dealias_mask(grid))
+    mask = dealias_mask(grid)
     mean = u0.values.mean(axis=(1, 2))
     # multipliers taking zeta to (u1, u2, d1 zeta, d2 zeta) without the mean
     symbols = np.stack(np.broadcast_arrays(-d2 * inv_lap, d1 * inv_lap, d1, d2))
@@ -146,10 +145,9 @@ def oracle_2d_solve(u0: VectorField, t_final: float, dt: float) -> VectorField:
 # probes
 
 
-def disjoint_support_probe(sigma: float, d: float, grid: GridSpec,
-                           second_amplitude: float = 1.0) -> float:
+def disjoint_support_probe(sigma: float, d: float, grid: GridSpec) -> float:
     """(||f||_{H^sigma} + ||g||_{H^sigma}) / ||f+g||_{H^sigma} for bumps
-    of radius d/4 centered d apart; second_amplitude=0 degenerates to 1."""
+    of radius d/4 centered d apart."""
     if not 0 < d <= grid.box_length / 4:
         raise ValueError("d must lie in (0, box_length/4]")
     if d / 4 < 4 * grid.spacing:
@@ -160,7 +158,7 @@ def disjoint_support_probe(sigma: float, d: float, grid: GridSpec,
     p1[0] -= d / 2
     p2[0] += d / 2
     f = bump(grid, p1, d / 4)
-    g = bump(grid, p2, d / 4, amplitude=second_amplitude)
+    g = bump(grid, p2, d / 4)
     total = ScalarField(grid, f.values + g.values)
     return ((sobolev_norm(f, sigma) + sobolev_norm(g, sigma))
             / sobolev_norm(total, sigma))
@@ -284,9 +282,10 @@ def exp_via_flow(u0: VectorField, dt: float) -> DiffeoMap:
 
 
 def find_probe_direction(u_star: VectorField, candidates, epsilon: float,
-                         exp_evaluator):
-    """Central-difference directional derivative of exp at u_star; picks
-    the candidate and point with the largest response.
+                         dt: float):
+    """Central-difference directional derivative of exp at u_star, each
+    exponential by exp_via_flow at the shared step dt; picks the candidate
+    and point with the largest response.
 
     Returns (w_star, x_star, m_star, index). Candidates must be
     H^s-normalized (checked at s inferred from ||.||=1 being scale-free:
@@ -295,8 +294,8 @@ def find_probe_direction(u_star: VectorField, candidates, epsilon: float,
     grid = u_star.grid
     best = None
     for idx, w in enumerate(candidates):
-        plus = exp_evaluator(VectorField(grid, u_star.values + epsilon * w.values))
-        minus = exp_evaluator(VectorField(grid, u_star.values - epsilon * w.values))
+        plus = exp_via_flow(VectorField(grid, u_star.values + epsilon * w.values), dt)
+        minus = exp_via_flow(VectorField(grid, u_star.values - epsilon * w.values), dt)
         delta = (plus.displacement.values - minus.displacement.values) / (2 * epsilon)
         mag = _pointwise_norm(delta)
         m_here = float(mag.max())
@@ -321,12 +320,9 @@ def find_probe_direction(u_star: VectorField, candidates, epsilon: float,
 class NonuniformConfig:
     grid: GridSpec
     s: float
-    R: float
     R_used: float
     K: int
     x_star: np.ndarray
-    base_potential: ScalarField
-    bump_potential: ScalarField
     u_star: VectorField
     w_star: VectorField
     m_star: float
@@ -384,17 +380,18 @@ def _candidate_builders(s: float):
 
 def _measure_constants(u_star: VectorField, R: float, s: float, seed: int,
                        w_star: VectorField, delta: VectorField,
-                       exp_evaluator, exp_fine) -> dict:
+                       dt: float, fine_dt: float) -> dict:
     """Empirical analogues of the composition/exponential constant chain
-    on the radius-R ball around u_star."""
+    on the radius-R ball around u_star; exponentials by exp_via_flow at
+    the shared step dt, and at fine_dt for C3."""
     grid = u_star.grid
     rng_seed = seed + 17
 
-    center_map = exp_evaluator(u_star)
+    center_map = exp_via_flow(u_star, dt)
     p_w = VectorField(grid, u_star.values + 0.5 * R * w_star.values)
     p_d = VectorField(grid, u_star.values + 0.5 * R * delta.values)
-    map_w = exp_evaluator(p_w)
-    map_d = exp_evaluator(p_d)
+    map_w = exp_via_flow(p_w, dt)
+    map_d = exp_via_flow(p_d, dt)
 
     # C2: Lipschitz constant of the flow maps themselves, the largest
     # spectral norm of d(phi) = I + d(disp)
@@ -425,12 +422,14 @@ def _measure_constants(u_star: VectorField, R: float, s: float, seed: int,
     # C3: second derivative of exp along sampled directions, through the
     # refined-step evaluator: the integrator's error is even along a
     # boost, so the second difference keeps its O(dt^4) part
-    center_fine = exp_fine(u_star)
+    center_fine = exp_via_flow(u_star, fine_dt)
     c3 = 0.0
     eps = 0.25 * R
     for h in (w_star, delta):
-        plus = exp_fine(VectorField(grid, u_star.values + eps * h.values))
-        minus = exp_fine(VectorField(grid, u_star.values - eps * h.values))
+        plus = exp_via_flow(VectorField(grid, u_star.values + eps * h.values),
+                            fine_dt)
+        minus = exp_via_flow(VectorField(grid, u_star.values - eps * h.values),
+                             fine_dt)
         second = (plus.displacement.values + minus.displacement.values
                   - 2.0 * center_fine.displacement.values) / eps**2
         c3 = max(c3, sobolev_norm(VectorField(grid, second), s))
@@ -479,15 +478,13 @@ def build_nonuniform_config(grid: GridSpec | None = None,
         max_speed(f) for f in probe_candidates + [delta])
     probe_dt = dt_for_speed(probe_grid, speed, 1.0, cfl)
     fine_dt = dt_for_speed(probe_grid, speed, 1.0, 0.5 * cfl)
-    exp_evaluator = lambda u: exp_via_flow(u, dt=probe_dt)
-    exp_fine = lambda u: exp_via_flow(u, dt=fine_dt)
 
     _, x_star, m_star, idx = find_probe_direction(
-        u_star_probe, probe_candidates, epsilon, exp_evaluator)
+        u_star_probe, probe_candidates, epsilon, probe_dt)
     w_star_probe = probe_candidates[idx]
 
     constants = _measure_constants(u_star_probe, R, s, seed, w_star_probe,
-                                   delta, exp_evaluator, exp_fine)
+                                   delta, probe_dt, fine_dt)
     c3c5 = constants["C3"] * constants["C5"]
     r_used = min(R, m_star / (16.0 * c3c5)) if c3c5 > 0 else R
 
@@ -502,7 +499,6 @@ def build_nonuniform_config(grid: GridSpec | None = None,
 
     w_star = builders[idx][1](grid)
     u_star = u_star_on(grid)
-    base_potential = bump(grid, center, base_radius)
     constants.update({
         "m_star": float(m_star),
         # max|u*| and max|w*| on the main grid: a base speed far below the
@@ -519,11 +515,8 @@ def build_nonuniform_config(grid: GridSpec | None = None,
         "probe_points_per_axis": probe_grid.points_per_axis,
     })
     return NonuniformConfig(
-        grid=grid, s=s, R=R, R_used=r_used, K=K, x_star=x_star,
-        base_potential=base_potential,
-        bump_potential=bump(grid, x_star, radii[0]),
-        u_star=u_star, w_star=w_star, m_star=m_star,
-        radii=radii, constants=constants)
+        grid=grid, s=s, R_used=r_used, K=K, x_star=x_star, u_star=u_star,
+        w_star=w_star, m_star=m_star, radii=radii, constants=constants)
 
 
 def run_nonuniform(config: NonuniformConfig, cfl: float = 0.7,

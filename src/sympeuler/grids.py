@@ -13,11 +13,9 @@ class GridSpec:
     """Uniform periodic grid on the box [0, box_length)^{2n}.
 
     The physical dimension is ``2 * n`` (coordinates come in symplectic
-    pairs), sampled at ``points_per_axis`` points along every axis.
-    Spectral data lives on the integer lattice k in [-N/2, N/2)^{2n} in
-    FFT order, with angular frequencies xi = 2*pi*k/box_length. The
-    forward transform uses the e^{-i x.xi} convention, so differentiation
-    along axis j is multiplication by i*xi_j.
+    pairs), sampled at ``points_per_axis`` points along every axis. The
+    grid holds no frequencies: spectral.py builds every Fourier symbol
+    on the rfftn half lattice of a real field on this grid.
     """
 
     n: int
@@ -69,23 +67,3 @@ class GridSpec:
     def coordinate_stack(self) -> np.ndarray:
         """Dense physical coordinates stacked as (dim, *shape)."""
         return np.stack(np.broadcast_arrays(*self.coordinate_arrays()))
-
-    @functools.cached_property
-    def axis_frequencies(self) -> np.ndarray:
-        """Angular frequencies along a single axis, in FFT order."""
-        N = self.points_per_axis
-        return np.fft.fftfreq(N, d=1.0 / N) * (2.0 * np.pi / self.box_length)
-
-    def frequency_arrays(self) -> list[np.ndarray]:
-        """Angular frequency lattices, one broadcastable array per axis."""
-        return list(
-            np.meshgrid(*([self.axis_frequencies] * self.dim), indexing="ij", sparse=True)
-        )
-
-    @functools.cached_property
-    def frequency_squared(self) -> np.ndarray:
-        """|xi|^2 on the full lattice (FFT order)."""
-        out = np.zeros(self.shape)
-        for xi in self.frequency_arrays():
-            out = out + xi**2
-        return out

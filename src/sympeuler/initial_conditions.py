@@ -21,7 +21,7 @@ import numpy as np
 from .fields import ScalarField, SkewMatrixField, VectorField
 from .grids import GridSpec
 from .operators import symplectic_gradient
-from .spectral import _half, _xi_magnitude, dealias_mask, sobolev_norm
+from .spectral import _xi_magnitude, dealias_mask, sobolev_norm
 
 __all__ = [
     "random_potential",
@@ -41,8 +41,8 @@ __all__ = [
 def _random_filter(grid: GridSpec, decay: float) -> np.ndarray:
     """exp(-decay |xi| / xi_0) on the dealiased rfftn half lattice, mean-free."""
     xi0 = 2.0 * np.pi / grid.box_length
-    filt = np.exp(-decay * _half(grid, _xi_magnitude(grid)) / xi0)
-    filt *= _half(grid, dealias_mask(grid))
+    filt = np.exp(-decay * _xi_magnitude(grid) / xi0)
+    filt *= dealias_mask(grid)
     filt.flat[0] = 0.0
     return filt
 

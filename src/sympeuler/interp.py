@@ -23,13 +23,15 @@ __all__ = ["PeriodicInterpolator", "local_lagrange_sample"]
 
 _UPSAMPLE = 2       # spectral refinement factor before the spline fit
 _SPLINE_ORDER = 5   # quintic B-splines
+_STENCIL = 6        # Lagrange nodes per axis in local_lagrange_sample
 
 
 class PeriodicInterpolator:
     """Evaluates stacked periodic grid data at arbitrary physical points.
 
     `values` has shape (*lead, *grid.shape); evaluation maps points of
-    shape (dim, *tail) to outputs of shape (*lead, *tail).
+    shape (dim, *tail) to outputs of shape (*lead, *tail). Points are
+    reduced modulo the box before the spline is evaluated.
     """
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
@@ -54,7 +56,8 @@ class PeriodicInterpolator:
         if points.shape[0] != self.grid.dim:
             raise ValueError("points must be stacked along a first axis of length dim")
         tail = points.shape[1:]
-        idx = points.reshape(self.grid.dim, -1) * self._scale
+        wrapped = points.reshape(self.grid.dim, -1) % self.grid.box_length
+        idx = wrapped * self._scale
         out = np.stack([
             ndimage.map_coordinates(c, idx, order=_SPLINE_ORDER,
                                     mode="grid-wrap", prefilter=False)
@@ -109,11 +112,11 @@ def _lagrange_weights(frac: np.ndarray, stencil: int) -> np.ndarray:
 
 
 def local_lagrange_sample(grid: GridSpec, values: np.ndarray,
-                          points: np.ndarray, stencil: int = 6) -> np.ndarray:
+                          points: np.ndarray) -> np.ndarray:
     """Tensor-product Lagrange interpolation at a few scattered points.
 
     `values`: (*lead, *grid.shape); `points`: (dim, M). No global
-    transform is performed, so the cost is O(stencil^dim) per point.
+    transform is performed, so the cost is O(_STENCIL^dim) per point.
     """
     d = grid.dim
     if d > 4:
@@ -122,13 +125,13 @@ def local_lagrange_sample(grid: GridSpec, values: np.ndarray,
     m_pts = points.shape[1]
     npa = grid.points_per_axis
     t = points / grid.spacing
-    base = np.floor(t).astype(int) - (stencil // 2 - 1)
+    base = np.floor(t).astype(int) - (_STENCIL // 2 - 1)
     frac = t - base
-    weights = [_lagrange_weights(frac[k], stencil) for k in range(d)]  # (M, stencil)
-    offsets = np.arange(stencil)
+    weights = [_lagrange_weights(frac[k], _STENCIL) for k in range(d)]  # (M, s)
+    offsets = np.arange(_STENCIL)
     index_arrays = []
     for k in range(d):
-        shape = (m_pts,) + (1,) * k + (stencil,) + (1,) * (d - 1 - k)
+        shape = (m_pts,) + (1,) * k + (_STENCIL,) + (1,) * (d - 1 - k)
         index_arrays.append(((base[k][:, None] + offsets) % npa).reshape(shape))
     block = values[(Ellipsis,) + tuple(index_arrays)]  # (*lead, M, s, ..., s)
     letters = "abcd"[:d]

@@ -95,8 +95,7 @@ class GeodesicState:
 
 def compose(f: ScalarField | VectorField, phi: DiffeoMap):
     """f o phi by periodic interpolation; exact for constant f."""
-    pts = phi.positions() % phi.grid.box_length
-    values = PeriodicInterpolator(phi.grid, f.values)(pts)
+    values = PeriodicInterpolator(phi.grid, f.values)(phi.positions())
     return type(f)(f.grid, values)
 
 
@@ -162,7 +161,7 @@ def invert(phi: DiffeoMap, near: _LastInversion | None = None) -> DiffeoMap:
     psi = (near.inverse - delta + _apply(J, delta)
            - _apply(J - near.gradient, near.inverse))
     for _ in range(_INVERT_MAX_ITER):
-        new = -interp((coords + psi) % grid.box_length)
+        new = -interp(coords + psi)
         update = float(np.max(np.abs(new - psi)))
         psi = new
         if update < _INVERT_TOL:
@@ -246,7 +245,7 @@ def flow_from_velocity(velocities: list[VectorField], dt: float) -> DiffeoMap:
 
     def rhs(c, y):
         # the stage offset picks the field: start, midpoint or end
-        return (fields[c](y[0] % grid.box_length),)
+        return (fields[c](y[0]),)
 
     y = (coords,)
     fields = {1.0: sample(0)}

@@ -38,7 +38,6 @@ from .fields import (
 )
 from .grids import GridSpec
 from .spectral import (
-    _half,
     _half_derivative_symbols,
     _half_inverse_laplacian,
     ball_cutoff_mask,
@@ -198,7 +197,7 @@ def advective_deformation_flux(u: VectorField) -> SkewMatrixField:
     D = _half_derivative_symbols(grid)
     S_hat = sum(D[k] * F_hat[:, k] for k in range(grid.dim))
     return SkewMatrixField.from_rspectral(
-        grid, S_hat * _half(grid, dealias_mask(grid)))
+        grid, S_hat * dealias_mask(grid))
 
 
 def compressibility_defect(u: VectorField) -> SkewMatrixField:
@@ -224,7 +223,7 @@ def constraint_force(u: VectorField, cutoff_radius: float = 1.0) -> VectorField:
     to every symplectic field and has zero symplectic divergence.
     """
     grid = u.grid
-    chi = _half(grid, ball_cutoff_mask(grid, cutoff_radius))
+    chi = ball_cutoff_mask(grid, cutoff_radius)
     div_strain = _skew_divergence(advective_deformation_strain(u))
     div_flux = _skew_divergence(advective_deformation_flux(u))
     omega = symplectic_matrix(grid.n)

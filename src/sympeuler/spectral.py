@@ -1,14 +1,17 @@
 """Fourier multiplier calculus, Sobolev norms and dealiasing.
 
-Symbols are built on the full lattice under the e^{-i x.xi} forward
-convention, so d/dx_j is multiplication by i*xi_j. For even N the
-unpaired Nyquist row is zeroed inside odd (derivative-type) multipliers;
-this keeps differentiation real and exactly antisymmetric and is
-invisible on the 2/3-dealiased band where products live. Every symbol
-is even or odd in each frequency, so it maps Hermitian coefficients to
-Hermitian ones, and a multiplier acts on a field's rfftn half lattice
-(`_half`): one batched rfftn of the field's independent components, the
-product, one batched irfftn.
+Symbols live on the rfftn half lattice, which holds a real field's
+Hermitian spectrum in full: k in [-N/2, N/2) in FFT order on the leading
+axes and the first N/2 + 1 of those on the last, whose unpaired Nyquist
+column keeps fftfreq's -N/2 (not rfftfreq's +N/2). Each is built once
+per grid and cached. Under the e^{-i x.xi} forward convention, with
+xi = 2*pi*k/box_length, d/dx_j is multiplication by i*xi_j. For even N
+the unpaired Nyquist row is zeroed inside odd (derivative-type)
+multipliers; this keeps differentiation real and exactly antisymmetric
+and is invisible on the 2/3-dealiased band where products live. Every
+symbol is even or odd in each frequency, so it maps Hermitian
+coefficients to Hermitian ones. A multiplier is one batched rfftn of the
+field's independent components, the product, one batched irfftn.
 """
 
 from __future__ import annotations
@@ -41,21 +44,36 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# multiplier building blocks
+# the half lattice and its symbols
 
 
-def _half(grid: GridSpec, symbol: np.ndarray) -> np.ndarray:
-    """A full-lattice (broadcastable) symbol cut to the rfftn half lattice."""
-    return symbol[..., : grid.points_per_axis // 2 + 1]
+def _half_shape(grid: GridSpec) -> tuple[int, ...]:
+    """Shape of a real field's rfftn spectrum: the last axis keeps N/2 + 1."""
+    return grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)
+
+
+def _wavenumbers(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Integer k_j, one broadcastable array per axis; the last axis keeps
+    fftfreq's first N/2 + 1 entries, so its Nyquist is -N/2."""
+    N = grid.points_per_axis
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    axes = [k] * (grid.dim - 1) + [k[: _half_shape(grid)[-1]]]
+    return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
+
+
+@functools.lru_cache(maxsize=64)
+def _frequencies(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Angular frequencies xi_j = 2*pi*k_j/box_length."""
+    return tuple(k * (2.0 * np.pi / grid.box_length)
+                 for k in _wavenumbers(grid))
 
 
 @functools.lru_cache(maxsize=64)
 def _half_derivative_symbols(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """i*xi_j per axis on the rfftn half lattice, with the Nyquist row
-    zeroed (even N)."""
+    """i*xi_j per axis, with the Nyquist row zeroed (even N)."""
     nyquist = -(grid.points_per_axis // 2) * (2.0 * np.pi / grid.box_length)
-    return tuple(_half(grid, 1j * np.where(xi == nyquist, 0.0, xi))
-                 for xi in grid.frequency_arrays())
+    return tuple(1j * np.where(xi == nyquist, 0.0, xi)
+                 for xi in _frequencies(grid))
 
 
 def _half_derivative(grid: GridSpec, axis: int) -> np.ndarray:
@@ -75,16 +93,37 @@ def dealias_band(points_per_axis: int) -> int:
 
 @functools.lru_cache(maxsize=64)
 def dealias_mask(grid: GridSpec) -> np.ndarray:
-    K = dealias_band(grid.points_per_axis)
-    N = grid.points_per_axis
-    k_axis = np.fft.fftfreq(N, d=1.0 / N)
-    keep = np.abs(k_axis) <= K
-    mask = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[axis] = N
-        mask &= keep.reshape(shape)
-    return mask
+    """2/3-rule mask on the rfftn half lattice: True where every
+    |k_j| <= dealias_band(N)."""
+    band = dealias_band(grid.points_per_axis)
+    return functools.reduce(np.logical_and,
+                            [np.abs(k) <= band for k in _wavenumbers(grid)])
+
+
+@functools.lru_cache(maxsize=64)
+def _xi_squared(grid: GridSpec) -> np.ndarray:
+    return sum(xi**2 for xi in _frequencies(grid))
+
+
+@functools.lru_cache(maxsize=64)
+def _xi_magnitude(grid: GridSpec) -> np.ndarray:
+    return np.sqrt(_xi_squared(grid))
+
+
+@functools.lru_cache(maxsize=64)
+def _half_inverse_laplacian(grid: GridSpec) -> np.ndarray:
+    """-1/|xi|^2, zero at the zero mode."""
+    xi2 = _xi_squared(grid)
+    return np.where(xi2 > 0.0, -1.0 / np.where(xi2 > 0.0, xi2, 1.0), 0.0)
+
+
+@functools.lru_cache(maxsize=64)
+def ball_cutoff_mask(grid: GridSpec, radius: float) -> np.ndarray:
+    """Indicator of the closed frequency ball |xi| <= radius, as floats on
+    the rfftn half lattice."""
+    if not radius > 0.0:
+        raise ValueError("radius must be positive")
+    return (_xi_magnitude(grid) <= radius).astype(float)
 
 
 def _apply_symbol(u, half_symbol: np.ndarray):
@@ -96,18 +135,12 @@ def _apply_symbol(u, half_symbol: np.ndarray):
 
 def two_thirds_truncate(u):
     """Zero every coefficient with any |k_j| above the 2/3-rule band."""
-    return _apply_symbol(u, _half(u.grid, dealias_mask(u.grid)))
+    return _apply_symbol(u, dealias_mask(u.grid))
 
 
 def partial_derivative(u, axis: int):
     """Spectral partial derivative along the given axis (0-based)."""
     return _apply_symbol(u, _half_derivative(u.grid, axis))
-
-
-def _half_inverse_laplacian(grid: GridSpec) -> np.ndarray:
-    """-1/|xi|^2 on the half lattice, zero at the zero mode."""
-    xi2 = _half(grid, grid.frequency_squared)
-    return np.where(xi2 > 0.0, -1.0 / np.where(xi2 > 0.0, xi2, 1.0), 0.0)
 
 
 def inverse_laplacian(u):
@@ -117,33 +150,19 @@ def inverse_laplacian(u):
 
 def riesz_transform(u, axis: int):
     """R_j = d_j (-Laplace)^{-1/2}; zero mode mapped to zero."""
-    grid = u.grid
-    xi2 = _half(grid, grid.frequency_squared)
+    xi2 = _xi_squared(u.grid)
     inv_norm = np.where(xi2 > 0.0, 1.0 / np.sqrt(np.where(xi2 > 0.0, xi2, 1.0)), 0.0)
-    return _apply_symbol(u, _half_derivative(grid, axis) * inv_norm)
+    return _apply_symbol(u, _half_derivative(u.grid, axis) * inv_norm)
 
 
 def bessel_potential(u, s: float):
     """J^s: multiplication by (1 + |xi|^2)^{s/2}."""
-    xi2 = _half(u.grid, u.grid.frequency_squared)
-    return _apply_symbol(u, (1.0 + xi2) ** (0.5 * s))
-
-
-@functools.lru_cache(maxsize=64)
-def _xi_magnitude(grid: GridSpec) -> np.ndarray:
-    return np.sqrt(grid.frequency_squared)
-
-
-def ball_cutoff_mask(grid: GridSpec, radius: float) -> np.ndarray:
-    """Indicator of the closed frequency ball |xi| <= radius."""
-    if not radius > 0.0:
-        raise ValueError("radius must be positive")
-    return (_xi_magnitude(grid) <= radius).astype(float)
+    return _apply_symbol(u, (1.0 + _xi_squared(u.grid)) ** (0.5 * s))
 
 
 def spectral_ball_cutoff(u, radius: float):
     """Sharp low-pass: zero all coefficients with |xi| > radius."""
-    return _apply_symbol(u, _half(u.grid, ball_cutoff_mask(u.grid, radius)))
+    return _apply_symbol(u, ball_cutoff_mask(u.grid, radius))
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +187,11 @@ def _theta_profile(r: np.ndarray) -> np.ndarray:
     return _smooth_step((np.asarray(r) - 0.75) / (4.0 / 3.0 - 0.75))
 
 
-def littlewood_paley_profiles(grid: GridSpec) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Lattice values of the low-pass profile and the dyadic annulus profiles.
+@functools.lru_cache(maxsize=16)
+def littlewood_paley_profiles(grid: GridSpec
+                              ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Half-lattice values of the low-pass profile and the dyadic annulus
+    profiles.
 
     The annulus profiles eta_j(xi) = theta(xi/2^{j+1}) - theta(xi/2^j) are
     supported in {3/4 * 2^j <= |xi| <= 8/3 * 2^j}; together with theta they
@@ -183,14 +205,14 @@ def littlewood_paley_profiles(grid: GridSpec) -> tuple[np.ndarray, list[np.ndarr
         levels = max(0, math.ceil(math.log2(r_max / 0.75)) - 1)
     thetas = [_theta_profile(r / 2.0**j) for j in range(levels + 2)]
     low = thetas[0]
-    annuli = [thetas[j + 1] - thetas[j] for j in range(levels + 1)]
+    annuli = tuple(thetas[j + 1] - thetas[j] for j in range(levels + 1))
     return low, annuli
 
 
 def littlewood_paley_blocks(f: ScalarField) -> list[ScalarField]:
     """Dyadic decomposition [low-pass block, annulus blocks...]; sums to f."""
     low, annuli = littlewood_paley_profiles(f.grid)
-    return [_apply_symbol(f, _half(f.grid, p)) for p in [low] + annuli]
+    return [_apply_symbol(f, p) for p in (low,) + annuli]
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +235,9 @@ def _sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
     """Parseval weights (1 + |xi|^2)^s on the half lattice, each column
     counted with its Hermitian multiplicity (1 at k_last = 0, N/2; else 2)
     and scaled so that s = 0 gives the literal L^2 box integral."""
-    cut = grid.points_per_axis // 2 + 1
-    mult = np.full(cut, 2.0)
+    mult = np.full(_half_shape(grid)[-1], 2.0)
     mult[0] = mult[-1] = 1.0
-    weights = (1.0 + _half(grid, grid.frequency_squared)) ** s * mult
+    weights = (1.0 + _xi_squared(grid)) ** s * mult
     return weights * (grid.box_volume / grid.num_points**2)
 
 

@@ -1,13 +1,22 @@
 """Multiplier operators, norms, dealiasing, and dyadic blocks."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import rel_err
 from sympeuler.fields import ScalarField, VectorField
 from sympeuler.grids import GridSpec
-from sympeuler.initial_conditions import random_potential
+from sympeuler.initial_conditions import _random_filter, random_potential
 from sympeuler.spectral import (
+    _frequencies,
+    _half_derivative_symbols,
+    _half_inverse_laplacian,
+    _sobolev_weights,
+    _theta_profile,
+    _xi_magnitude,
+    _xi_squared,
     ball_cutoff_mask,
     bessel_potential,
     dealias_band,
@@ -16,6 +25,7 @@ from sympeuler.spectral import (
     l2_inner,
     lebesgue_norms,
     littlewood_paley_blocks,
+    littlewood_paley_profiles,
     partial_derivative,
     riesz_transform,
     sobolev_norm,
@@ -44,13 +54,95 @@ def test_grid_validation():
         GridSpec(n=1, points_per_axis=16, box_length=0.0)
 
 
-def test_frequency_lattice_symmetry(grid32):
-    xi = grid32.axis_frequencies
-    assert xi[0] == 0.0
-    # representable k have -k at index N-k
-    N = grid32.points_per_axis
-    for k in range(1, N // 2):
-        assert xi[N - k] == -xi[k]
+# ---------------------------------------------------------------------------
+# symbols on the rfftn half lattice
+
+
+def _full_lattice_symbols(grid):
+    """Each symbol built on the full N^{2n} lattice from fftfreq, then cut
+    to the first N/2 + 1 entries of the last axis."""
+    N, d = grid.points_per_axis, grid.dim
+    xi0 = 2.0 * np.pi / grid.box_length
+    k = np.meshgrid(*([np.fft.fftfreq(N, d=1.0 / N)] * d), indexing="ij",
+                    sparse=True)
+    xi = [kj * xi0 for kj in k]
+    xi2 = np.zeros(grid.shape)
+    for xij in xi:
+        xi2 = xi2 + xij**2
+    r = np.sqrt(xi2)
+    mask = np.logical_and.reduce(np.broadcast_arrays(
+        *[np.abs(kj) <= (N - 1) // 3 for kj in k]))
+    levels = max(0, math.ceil(math.log2(r.max() / 0.75)) - 1)
+    thetas = [_theta_profile(r / 2.0**j) for j in range(levels + 2)]
+    symbols = {
+        "frequencies": xi,
+        "derivatives": [1j * np.where(kj == -N // 2, 0.0, xij)
+                        for kj, xij in zip(k, xi)],
+        "xi_squared": xi2,
+        "xi_magnitude": r,
+        "inverse_laplacian":
+            np.where(xi2 > 0.0, -1.0 / np.where(xi2 > 0.0, xi2, 1.0), 0.0),
+        "dealias_mask": mask,
+        "ball r=1": (r <= 1.0).astype(float),
+        "ball r=sqrt13": (r <= math.sqrt(13.0)).astype(float),
+        "lp_low": thetas[0],
+        "lp_annuli": [b - a for a, b in zip(thetas, thetas[1:])],
+    }
+    for decay in (0.5, 1.0):
+        filt = np.exp(-decay * r / xi0) * mask
+        filt.flat[0] = 0.0
+        symbols[f"random_filter decay={decay}"] = filt
+    cut = {name: [a[..., : N // 2 + 1] for a in v] if isinstance(v, list)
+           else v[..., : N // 2 + 1] for name, v in symbols.items()}
+    # Hermitian multiplicity of a half-lattice column: 1 at k = 0 and at
+    # the Nyquist, 2 for the columns whose conjugates were cut
+    mult = np.where(np.abs(k[-1][..., : N // 2 + 1]) % (N // 2) == 0, 1.0, 2.0)
+    for s in (0.0, 3.0):
+        cut[f"sobolev_weights s={s}"] = ((1.0 + cut["xi_squared"]) ** s * mult
+                                         * (grid.box_volume / grid.num_points**2))
+    return cut
+
+
+@pytest.mark.parametrize("grid", [
+    GridSpec(n=1, points_per_axis=64),
+    GridSpec(n=1, points_per_axis=128, box_length=0.75),
+    GridSpec(n=2, points_per_axis=16),
+], ids=["2d-N64", "2d-N128-L0.75", "4d-N16"])
+def test_symbols_equal_the_cut_full_lattice(grid):
+    # bitwise: the last axis keeps fftfreq's -N/2 as its Nyquist column,
+    # so the derivative symbols zero it (an rfftfreq axis would hold +N/2)
+    low, annuli = littlewood_paley_profiles(grid)
+    ours = {
+        "frequencies": list(_frequencies(grid)),
+        "derivatives": list(_half_derivative_symbols(grid)),
+        "xi_squared": _xi_squared(grid),
+        "xi_magnitude": _xi_magnitude(grid),
+        "inverse_laplacian": _half_inverse_laplacian(grid),
+        "dealias_mask": dealias_mask(grid),
+        "ball r=1": ball_cutoff_mask(grid, 1.0),
+        "ball r=sqrt13": ball_cutoff_mask(grid, math.sqrt(13.0)),
+        "lp_low": low,
+        "lp_annuli": list(annuli),
+        "random_filter decay=0.5": _random_filter(grid, 0.5),
+        "random_filter decay=1.0": _random_filter(grid, 1.0),
+        "sobolev_weights s=0.0": _sobolev_weights(grid, 0.0),
+        "sobolev_weights s=3.0": _sobolev_weights(grid, 3.0),
+    }
+    ref = _full_lattice_symbols(grid)
+    assert sorted(ours) == sorted(ref)
+
+    def equal(a, b):
+        if isinstance(a, list):
+            return len(a) == len(b) and all(map(equal, a, b))
+        return a.dtype == b.dtype and np.array_equal(a, b)
+
+    assert [name for name in ours if not equal(ours[name], ref[name])] == []
+    # the full axes hold each k with its -k at index N - k
+    N = grid.points_per_axis
+    line = _frequencies(grid)[0].ravel()
+    assert line[0] == 0.0
+    assert all(line[N - k] == -line[k] for k in range(1, N // 2))
+    assert dealias_band(N) == (N - 1) // 3
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +326,7 @@ def test_dyadic_blocks_single_mode_support(grid64):
 
 def test_dyadic_blocks_spectral_support(grid64):
     f = random_potential(grid64, seed=12)
-    xi = np.sqrt(grid64.frequency_squared)[:, : grid64.points_per_axis // 2 + 1]
+    xi = _xi_magnitude(grid64)
     # spectra of the values, not the blocks' own cached coefficients
     spectrum = lambda g: np.fft.rfft2(g.values)
     blocks = littlewood_paley_blocks(f)
@@ -264,15 +356,6 @@ def test_lebesgue_norms_cases(grid64):
     assert abs(linfs - 1.0) < 1e-12     # N divisible by 4 samples the peak
     zero = ScalarField(grid64, np.zeros(grid64.shape))
     assert lebesgue_norms(zero) == (0.0, 0.0)
-
-
-def test_dealias_mask_band(grid64):
-    band = dealias_band(grid64.points_per_axis)
-    assert band == (grid64.points_per_axis - 1) // 3
-    mask = dealias_mask(grid64)
-    k = np.rint(grid64.axis_frequencies / (2.0 * np.pi / grid64.box_length))
-    keep1d = np.abs(k) <= band
-    assert np.array_equal(mask, np.minimum.outer(keep1d, keep1d) > 0)
 
 
 def test_truncate_idempotent(grid64):

@@ -1,12 +1,15 @@
-"""Every name the benchmark tracer wraps must exist in the package.
+"""Every name the benchmark tracer wraps or its workloads call must exist.
 
 The tracer in perfbench/tracer.py swaps timing wrappers into module
-attributes by name, so renaming or deleting one of them breaks traced
-benchmark runs. Loading the tracer here turns that into a test failure.
+attributes by name, and perfbench/workloads.py calls the solvers as
+module attributes, so renaming or deleting one of them breaks benchmark
+runs. Loading both files here turns that into a test failure.
 """
 
+import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,24 +21,45 @@ from sympeuler.grids import GridSpec
 from sympeuler.initial_conditions import random_symplectic
 from sympeuler.interp import PeriodicInterpolator
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    # dataclasses look their module up while the file executes
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
     return module
 
 
 def test_traced_layers_exist():
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     assert tracer.FUNCTION_LAYERS
     missing = [(module, attr) for _, module, attr in tracer.FUNCTION_LAYERS
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
     assert hasattr(importlib.import_module("sympeuler.interp"),
                    "PeriodicInterpolator")
+
+
+def test_workload_calls_exist():
+    # loading runs the workloads' from-imports; their module-attribute
+    # calls (eulerian.integrate, ...) resolve only when a solve runs
+    workloads = _load("workloads")
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    modules = {"eulerian", "experiments", "lagrangian", "snapshots"}
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in modules}
+    assert {m for m, _ in used} == modules
+    missing = [f"{m}.{attr}" for m, attr in sorted(used)
+               if not hasattr(getattr(workloads, m), attr)]
+    assert missing == []
 
 
 def test_geodesic_integrate_inverts_through_module_attribute(monkeypatch):
