@@ -137,12 +137,30 @@ def test_symbols_equal_the_cut_full_lattice(grid):
         return a.dtype == b.dtype and np.array_equal(a, b)
 
     assert [name for name in ours if not equal(ours[name], ref[name])] == []
-    # the full axes hold each k with its -k at index N - k
-    N = grid.points_per_axis
-    line = _frequencies(grid)[0].ravel()
-    assert line[0] == 0.0
-    assert all(line[N - k] == -line[k] for k in range(1, N // 2))
-    assert dealias_band(N) == (N - 1) // 3
+
+
+def test_frequency_lattice_symmetry(grid32):
+    N = grid32.points_per_axis
+    full, half = (xi.ravel() for xi in _frequencies(grid32))
+    assert full[0] == 0.0 and half[0] == 0.0
+    # the full axis holds each representable k with its -k at index N - k
+    for k in range(1, N // 2):
+        assert full[N - k] == -full[k]
+    # the half axis keeps k = 0..N/2 - 1 and fftfreq's -N/2 as its Nyquist
+    assert half.size == N // 2 + 1
+    assert np.array_equal(half[: N // 2], full[: N // 2])
+    assert half[N // 2] == full[N // 2] < 0.0
+
+
+def test_dealias_mask_band(grid64):
+    band = dealias_band(grid64.points_per_axis)
+    assert band == (grid64.points_per_axis - 1) // 3
+    mask = dealias_mask(grid64)
+    xi0 = 2.0 * np.pi / grid64.box_length
+    k = [np.rint(xi.ravel() / xi0) for xi in _frequencies(grid64)]
+    keep = [np.abs(kj) <= band for kj in k]
+    assert mask.shape == (grid64.points_per_axis, grid64.points_per_axis // 2 + 1)
+    assert np.array_equal(mask, np.logical_and.outer(*keep))
 
 
 # ---------------------------------------------------------------------------
