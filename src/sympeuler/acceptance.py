@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import ConfigError
 from .eulerian import (cfl_timestep, dt_for_speed, integrate, max_speed)
 from .experiments import (build_nonuniform_config, oracle_2d_solve,
                           probe_report, run_nonuniform)
@@ -378,32 +379,30 @@ CRITERIA = (
 )
 
 
-def _parse_selection(selection) -> set[int]:
-    if selection is None:
-        return {c.number for c in CRITERIA}
-    if isinstance(selection, str):
-        tokens = [t for t in selection.replace(" ", "").split(",") if t]
-        numbers = set()
-        for tok in tokens:
-            try:
-                numbers.add(int(tok))
-            except ValueError:
-                raise ValueError(f"bad criterion selector {tok!r}") from None
-    else:
-        numbers = {int(t) for t in selection}
+def _parse_selection(selection: str | None) -> set[int]:
     known = {c.number for c in CRITERIA}
-    unknown = numbers - known
-    if unknown:
-        raise ValueError(f"unknown criteria {sorted(unknown)}")
+    if selection is None:
+        return known
+    numbers = set()
+    for tok in filter(None, selection.replace(" ", "").split(",")):
+        try:
+            numbers.add(int(tok))
+        except ValueError:
+            raise ConfigError(f"--criteria: bad criterion selector "
+                              f"{tok!r}") from None
+    if numbers - known:
+        raise ConfigError(f"--criteria: unknown criteria "
+                          f"{sorted(numbers - known)}")
     return numbers
 
 
-def run_criteria(selection=None, quiet: bool = False) -> list[CriterionResult]:
+def run_criteria(selection: str | None = None,
+                 quiet: bool = False) -> list[CriterionResult]:
     """Run the selected criteria (all by default), one PASS/FAIL line each.
 
-    `selection` is a comma-separated string of criterion numbers or an
-    iterable of ints.  A criterion fails if its checks fail, it raises,
-    or it runs past its wall-clock budget.
+    `selection` is a comma-separated string of criterion numbers.  A
+    criterion fails if its checks fail, it raises, or it runs past its
+    wall-clock budget.
     """
     numbers = _parse_selection(selection)
     results = []

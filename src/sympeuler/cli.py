@@ -2,8 +2,9 @@
 
 Subcommands: run-eulerian, run-lagrangian, exp-map,
 experiment {nonuniform, oracle2d, probes}, verify.
-Exit codes: 0 ok, 1 acceptance failure, 2 config error,
-3 numerical failure, 4 resolution guard.
+Exit codes: 0 ok, 1 acceptance failure; EXIT_CODES maps the package's
+error types to 2 (config error), 3 (numerical failure) and
+4 (resolution guard).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .eulerian import (
     write_diagnostics_csv,
 )
 from .experiments import (
+    ExperimentFailure,
     ResolutionGuardError,
     _write_json,
     build_nonuniform_config,
@@ -57,9 +59,10 @@ from .spectral import sobolev_norm
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
-EXIT_GUARD = 4
+# the package's own error types; any other exception is a bug and keeps
+# its traceback
+EXIT_CODES = {ConfigError: 2, DiscretizationFailure: 3, InversionError: 3,
+              ExperimentFailure: 3, ResolutionGuardError: 4}
 
 
 def _say(args, *parts) -> None:
@@ -67,22 +70,14 @@ def _say(args, *parts) -> None:
         print(*parts, flush=True)
 
 
-def _error_json(exc: Exception, code: int) -> int:
-    print(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                      "exit_code": code}))
-    return code
-
-
 def _load(args) -> RunConfig:
-    if args.config:
-        raw = load_config(args.config)
-    else:
-        raw = {"time": {"cfl": 0.5}}
-    cfg = parse_run_config(raw)
+    raw = load_config(args.config) if args.config else {"time": {"cfl": 0.5}}
     if args.seed is not None:
-        cfg.initial.setdefault("kind", "random_symplectic")
-        cfg.initial["seed"] = args.seed
-    return cfg
+        # a file without an initial section gets a seeded random draw
+        initial = raw.get("initial", {"kind": "random_symplectic"})
+        if isinstance(initial, dict):
+            raw["initial"] = {**initial, "seed": args.seed}
+    return parse_run_config(raw)
 
 
 def _out_dir(args) -> str:
@@ -185,13 +180,13 @@ def cmd_experiment(args) -> int:
     out = _out_dir(args)
     esec = cfg.experiment
     if args.kind == "nonuniform":
-        # without a config file, fall back to the tuned default geometry
+        # forward only what the file sets: the defaults live in
+        # build_nonuniform_config, and without a file so does the grid
+        kwargs = {k: esec[k] for k in ("R", "K", "epsilon", "cfl") if k in esec}
+        if "seed" in cfg.initial:
+            kwargs["seed"] = cfg.initial["seed"]
         ncfg = build_nonuniform_config(
-            grid=cfg.grid if args.config else None, s=cfg.s,
-            R=esec.get("R", 0.5), K=esec.get("K", 6),
-            seed=cfg.initial.get("seed", 7),
-            epsilon=esec.get("epsilon", 0.05),
-            cfl=esec.get("cfl", 0.7))
+            grid=cfg.grid if args.config else None, s=cfg.s, **kwargs)
         progress = None
         if not args.quiet:
             progress = lambda row: print(
@@ -199,8 +194,7 @@ def cmd_experiment(args) -> int:
                 f"gap={row.output_gap_hs:.6g} sep={row.separation:.6g}",
                 flush=True)
         report = run_nonuniform(
-            ncfg, cfl=esec.get("cfl", 0.7),
-            csv_path=os.path.join(out, "nonuniform.csv"),
+            ncfg, csv_path=os.path.join(out, "nonuniform.csv"),
             json_path=os.path.join(out, "constants.json"),
             progress=progress)
         _say(args, f"gap_floor={report.constants['gap_floor']:.6g}")
@@ -208,15 +202,17 @@ def cmd_experiment(args) -> int:
     if args.kind == "oracle2d":
         if cfg.grid.n != 1:
             raise ConfigError("grid.n: oracle2d requires n = 1")
-        seeds = esec.get("seeds", [0, 1, 2])
+        seeds, t_final = esec["seeds"], esec["t_final"]
         if args.seed is not None:
             seeds = [args.seed + i for i in range(len(seeds))]
-        t_final = esec.get("t_final", 0.5)
         worst = 0.0
         for seed in seeds:
-            u0 = random_symplectic(cfg.grid, seed=seed,
-                                   decay=esec.get("decay", 0.8), s=cfg.s,
-                                   norm=esec.get("norm", 1.0))
+            try:
+                u0 = random_symplectic(cfg.grid, seed=seed,
+                                       decay=esec["decay"], s=cfg.s,
+                                       norm=esec["norm"])
+            except ValueError as exc:   # a large decay underflows every mode
+                raise ConfigError(f"experiment.decay: {exc}") from exc
             dt = _timestep(cfg, u0, t_final)
             ours = integrate(u0, t_final, dt,
                              cutoff_radius=cfg.cutoff_radius,
@@ -230,14 +226,12 @@ def cmd_experiment(args) -> int:
             _say(args, f"seed={seed} rel_l2_discrepancy={rel:.12g}")
         _say(args, f"max_discrepancy={worst:.12g}")
         return EXIT_OK
-    if args.kind == "probes":
-        report = probe_report(s=cfg.s)
-        _write_json(os.path.join(out, "probes.json"), report)
-        for name, block in report.items():
-            _say(args, f"{name}: constant={block['constant']:.6g} "
-                       f"stability={block['stability']:.4f}")
-        return EXIT_OK
-    raise ConfigError(f"experiment: unknown kind {args.kind!r}")
+    report = probe_report(s=cfg.s)   # argparse admits no other kind
+    _write_json(os.path.join(out, "probes.json"), report)
+    for name, block in report.items():
+        _say(args, f"{name}: constant={block['constant']:.6g} "
+                   f"stability={block['stability']:.4f}")
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -289,14 +283,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        return _error_json(exc, EXIT_CONFIG)
-    except ResolutionGuardError as exc:
-        return _error_json(exc, EXIT_GUARD)
-    except (DiscretizationFailure, InversionError) as exc:
-        return _error_json(exc, EXIT_NUMERICAL)
-    except (ValueError, RuntimeError) as exc:
-        return _error_json(exc, EXIT_NUMERICAL)
+    except tuple(EXIT_CODES) as exc:
+        code = next(c for t, c in EXIT_CODES.items() if isinstance(exc, t))
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc),
+                          "exit_code": code}))
+        return code
 
 
 if __name__ == "__main__":

@@ -1,6 +1,9 @@
 """Run configuration: YAML schema, validation, field construction.
 
-Validation errors carry dotted key paths (for example
+One table, _SCHEMA, gives every key its type and default; parsing checks
+the whole file against it before anything runs, so a YAML string where a
+number belongs (1.0e8 without a sign is text in YAML 1.1) fails here
+rather than deep in a solver. Errors carry dotted key paths (for example
 ``initial.seed: required for kind 'random_symplectic'``) so a bad file
 pinpoints its own fix.
 """
@@ -8,7 +11,6 @@ pinpoints its own fix.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 import yaml
@@ -54,50 +56,73 @@ class RunConfig:
     experiment: dict
 
 
+_REQUIRED = object()
+
+# section -> key -> (type, default); "" is the root and a dict-typed key
+# names a section. A default of None leaves the key out unless the file sets
+# it; its default then lives where it is read: GridSpec's box length, the
+# grid-dependent bump geometry, build_nonuniform_config's signature.
+_SCHEMA = {
+    "": {"grid": (dict, {}), "s": (float, 3.0), "cutoff_radius": (float, 1.0),
+         "time": (dict, {}), "initial": (dict, {"kind": "zero"}),
+         "output": (dict, {}), "lagrangian": (dict, {}),
+         "project_every": (int, 0), "experiment": (dict, {})},
+    "grid": {"n": (int, 1), "points_per_axis": (int, 64),
+             "box_length": (float, None)},
+    "time": {"t_final": (float, 1.0), "dt": (float, None),
+             "cfl": (float, None)},
+    "initial": {"kind": (str, _REQUIRED), "seed": (int, None),
+                "decay": (float, 0.5), "norm": (float, 1.0),
+                "center": (list, None), "radius": (float, None),
+                "amplitude": (float, 1.0), "terms": (list, None),
+                "direction": (int, 0), "magnitude": (float, 1.0)},
+    "output": {"diag_every": (int, 1), "snapshot": (str, "final.snap")},
+    "lagrangian": {"dt": (float, 0.01)},
+    "experiment": {"seeds": (list, [0, 1, 2]), "t_final": (float, 0.5),
+                   "decay": (float, 0.8), "norm": (float, 1.0),
+                   "K": (int, None), "R": (float, None),
+                   "epsilon": (float, None), "cfl": (float, None)},
+}
+_EXPECTED = {float: "a number", int: "an integer", str: "a string",
+             list: "a list", dict: "a mapping"}
+_POSITIVE = ("cutoff_radius", "time.t_final", "initial.norm", "lagrangian.dt",
+             "experiment.t_final", "experiment.decay", "experiment.norm",
+             "experiment.R", "experiment.epsilon")
+_AT_LEAST = {"initial.seed": 0, "output.diag_every": 1, "project_every": 0,
+             "experiment.K": 1}
+_UNIT_INTERVAL = ("time.cfl", "experiment.cfl")
+
+
 def _ctx(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _get(section: dict, key: str, path: str, kind, default=None,
-         required: bool = False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"{_ctx(path, key)}: required")
-        return default
-    value = section[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{_ctx(path, key)}: expected a number, "
-                              f"got {value!r}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{_ctx(path, key)}: expected an integer, "
-                              f"got {value!r}")
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{_ctx(path, key)}: expected a string, "
-                              f"got {value!r}")
-        return value
-    if kind is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(f"{_ctx(path, key)}: expected a mapping, "
-                              f"got {value!r}")
-        return value
-    if kind is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{_ctx(path, key)}: expected a list, "
-                              f"got {value!r}")
-        return value
-    raise AssertionError(kind)
-
-
-def _reject_unknown(section: dict, allowed, path: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
+def _walk(raw: dict, section: str = "") -> dict:
+    """Checks one section against _SCHEMA and fills in its defaults."""
+    schema = _SCHEMA[section]
+    unknown = sorted(set(raw) - set(schema))
     if unknown:
-        raise ConfigError(f"{_ctx(path, unknown[0])}: unknown key "
-                          f"(allowed: {', '.join(sorted(allowed))})")
+        raise ConfigError(f"{_ctx(section, unknown[0])}: unknown key "
+                          f"(allowed: {', '.join(sorted(schema))})")
+    out = {}
+    for key, (kind, default) in schema.items():
+        path = _ctx(section, key)
+        if key not in raw and default is _REQUIRED:
+            raise ConfigError(f"{path}: required")
+        if key not in raw and default is None:
+            continue
+        value = raw.get(key, default)
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigError(f"{path}: expected {_EXPECTED[kind]}, "
+                              f"got {value!r}")
+        out[key] = _walk(value, key) if kind is dict else kind(value)
+    return out
+
+
+def _lookup(tree: dict, path: str):
+    section, _, key = path.rpartition(".")
+    return (tree[section] if section else tree).get(key)
 
 
 def load_config(path) -> dict:
@@ -117,93 +142,55 @@ def load_config(path) -> dict:
 
 
 def parse_run_config(raw: dict) -> RunConfig:
-    _reject_unknown(raw, ("grid", "s", "cutoff_radius", "time", "initial",
-                          "output", "lagrangian", "project_every",
-                          "experiment"), "")
-
-    gsec = _get(raw, "grid", "", dict, default={})
-    _reject_unknown(gsec, ("n", "points_per_axis", "box_length"), "grid")
-    n = _get(gsec, "n", "grid", int, default=1)
-    N = _get(gsec, "points_per_axis", "grid", int, default=64)
-    L = _get(gsec, "box_length", "grid", float, default=2.0 * math.pi)
+    tree = _walk(raw)
     try:
-        grid = GridSpec(n=n, points_per_axis=N, box_length=L)
+        grid = GridSpec(**tree["grid"])
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
-
-    s = _get(raw, "s", "", float, default=3.0)
+    n, s = grid.n, tree["s"]
     if not s > n + 1:
         raise ConfigError(f"s: must exceed {n + 1} (s > 2n/2 + 1 with "
                           f"n={n}); got {s}")
-    cutoff_radius = _get(raw, "cutoff_radius", "", float, default=1.0)
-    if not cutoff_radius > 0:
-        raise ConfigError("cutoff_radius: must be positive")
+    for path in _POSITIVE:
+        value = _lookup(tree, path)
+        if value is not None and not value > 0:
+            raise ConfigError(f"{path}: must be positive")
+    for path, floor in _AT_LEAST.items():
+        value = _lookup(tree, path)
+        if value is not None and value < floor:
+            raise ConfigError(f"{path}: must be >= {floor}")
+    for path in _UNIT_INTERVAL:
+        value = _lookup(tree, path)
+        if value is not None and not 0 < value <= 1:
+            raise ConfigError(f"{path}: must lie in (0, 1]")
 
-    tsec = _get(raw, "time", "", dict, default={})
-    _reject_unknown(tsec, ("t_final", "dt", "cfl"), "time")
-    t_final = _get(tsec, "t_final", "time", float, default=1.0)
-    if not t_final > 0:
-        raise ConfigError("time.t_final: must be positive")
-    dt = _get(tsec, "dt", "time", float)
-    cfl = _get(tsec, "cfl", "time", float)
-    if (dt is None) == (cfl is None):
+    time, isec, esec = tree["time"], tree["initial"], tree["experiment"]
+    if ("dt" in time) == ("cfl" in time):
         raise ConfigError("time: set exactly one of dt, cfl")
-    if dt is not None and not 0 < dt <= t_final:
+    if "dt" in time and not 0 < time["dt"] <= time["t_final"]:
         raise ConfigError("time.dt: must lie in (0, t_final]")
-    if cfl is not None and not 0 < cfl <= 1:
-        raise ConfigError("time.cfl: must lie in (0, 1]")
-
-    isec = _get(raw, "initial", "", dict, default={"kind": "zero"})
-    _reject_unknown(isec, ("kind", "seed", "decay", "norm", "center",
-                           "radius", "amplitude", "terms", "direction",
-                           "magnitude"), "initial")
-    kind = _get(isec, "kind", "initial", str, required=True)
+    kind = isec["kind"]
     if kind not in _KINDS:
         raise ConfigError(f"initial.kind: unknown kind {kind!r} "
                           f"(one of {', '.join(_KINDS)})")
-    if kind in _RANDOM_KINDS and _get(isec, "seed", "initial", int) is None:
+    if kind in _RANDOM_KINDS and "seed" not in isec:
         raise ConfigError(f"initial.seed: required for kind {kind!r}")
-    # coerce numeric knobs now so a YAML string (e.g. 1.0e8, which YAML 1.1
-    # reads as text) fails here with a key path, not deep in a solver
-    for key in ("decay", "norm", "amplitude", "magnitude", "radius"):
-        if key in isec:
-            isec[key] = _get(isec, key, "initial", float)
-    if "norm" in isec and isec["norm"] <= 0.0:
-        raise ConfigError("initial.norm: must be positive")
-    if "direction" in isec:
-        isec["direction"] = _get(isec, "direction", "initial", int)
-    if "center" in isec:
-        center = _get(isec, "center", "initial", list)
-        if not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                   for c in center):
-            raise ConfigError("initial.center: expected numbers")
+    if not all(isinstance(c, (int, float)) and not isinstance(c, bool)
+               for c in isec.get("center", ())):
+        raise ConfigError("initial.center: expected numbers")
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
+               for v in esec["seeds"]):
+        raise ConfigError(f"experiment.seeds: expected integers >= 0, "
+                          f"got {esec['seeds']!r}")
 
-    osec = _get(raw, "output", "", dict, default={})
-    _reject_unknown(osec, ("diag_every", "snapshot"), "output")
-    diag_every = _get(osec, "diag_every", "output", int, default=1)
-    if diag_every < 1:
-        raise ConfigError("output.diag_every: must be >= 1")
-    snapshot = _get(osec, "snapshot", "output", str, default="final.snap")
-
-    lsec = _get(raw, "lagrangian", "", dict, default={})
-    _reject_unknown(lsec, ("dt",), "lagrangian")
-    lagrangian_dt = _get(lsec, "dt", "lagrangian", float, default=0.01)
-    if not lagrangian_dt > 0:
-        raise ConfigError("lagrangian.dt: must be positive")
-
-    project_every = _get(raw, "project_every", "", int, default=0)
-    if project_every < 0:
-        raise ConfigError("project_every: must be >= 0")
-
-    esec = _get(raw, "experiment", "", dict, default={})
-    _reject_unknown(esec, ("K", "R", "cfl", "epsilon", "t_final", "seeds",
-                           "decay", "norm"), "experiment")
-
-    return RunConfig(grid=grid, s=s, cutoff_radius=cutoff_radius,
-                     t_final=t_final, dt=dt, cfl=cfl, initial=dict(isec),
-                     diag_every=diag_every, snapshot=snapshot,
-                     project_every=project_every,
-                     lagrangian_dt=lagrangian_dt, experiment=dict(esec))
+    return RunConfig(grid=grid, s=s, cutoff_radius=tree["cutoff_radius"],
+                     t_final=time["t_final"], dt=time.get("dt"),
+                     cfl=time.get("cfl"), initial=isec,
+                     diag_every=tree["output"]["diag_every"],
+                     snapshot=tree["output"]["snapshot"],
+                     project_every=tree["project_every"],
+                     lagrangian_dt=tree["lagrangian"]["dt"],
+                     experiment=esec)
 
 
 def build_initial_condition(cfg: RunConfig) -> VectorField:
@@ -211,42 +198,37 @@ def build_initial_condition(cfg: RunConfig) -> VectorField:
     kind = isec["kind"]
     if kind == "zero":
         return VectorField(grid, np.zeros((grid.dim,) + grid.shape))
-    if kind == "random_symplectic":
-        return random_symplectic(grid, seed=isec["seed"],
-                                 decay=isec.get("decay", 0.5), s=cfg.s,
-                                 norm=isec.get("norm", 1.0))
-    if kind == "random_vector":
-        # generically non-symplectic; the residual dichotomy needs this
-        return random_vector(grid, seed=isec["seed"],
-                             decay=isec.get("decay", 0.5), s=cfg.s,
-                             norm=isec.get("norm", 1.0))
+    if kind in _RANDOM_KINDS:
+        # random_vector is generically non-symplectic; the residual
+        # dichotomy needs it
+        draw = random_symplectic if kind == "random_symplectic" else random_vector
+        try:
+            return draw(grid, seed=isec["seed"], decay=isec["decay"], s=cfg.s,
+                        norm=isec["norm"])
+        except ValueError as exc:   # a large decay underflows every mode
+            raise ConfigError(f"initial.decay: {exc}") from exc
     if kind == "steady_shear":
-        return steady_shear(grid, amplitude=isec.get("amplitude", 1.0))
+        return steady_shear(grid, amplitude=isec["amplitude"])
     if kind == "constant":
-        direction = isec.get("direction", 0)
-        if not 0 <= direction < grid.dim:
+        if not 0 <= isec["direction"] < grid.dim:
             raise ConfigError(f"initial.direction: must lie in "
                               f"[0, {grid.dim})")
-        return constant_field(grid, direction,
-                              magnitude=isec.get("magnitude", 1.0))
+        return constant_field(grid, isec["direction"],
+                              magnitude=isec["magnitude"])
     if kind == "sympl_grad_bump":
-        center = isec.get("center")
-        if center is None:
-            center = [grid.box_length / 2.0] * grid.dim
+        center = isec.get("center", [grid.box_length / 2.0] * grid.dim)
         if len(center) != grid.dim:
             raise ConfigError(f"initial.center: expected {grid.dim} "
                               "coordinates")
-        radius = isec.get("radius", grid.box_length / 8.0)
         try:
             return bump_symplectic(grid, np.asarray(center, dtype=float),
-                                   float(radius),
-                                   amplitude=isec.get("amplitude", 1.0))
+                                   isec.get("radius", grid.box_length / 8.0),
+                                   amplitude=isec["amplitude"])
         except ValueError as exc:
             raise ConfigError(f"initial.radius: {exc}") from exc
     if kind == "sympl_grad_trig":
-        terms = isec.get("terms")
         try:
-            return symplectic_gradient(trig_potential(grid, terms))
+            return symplectic_gradient(trig_potential(grid, isec.get("terms")))
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"initial.terms: {exc}") from exc
     raise AssertionError(kind)

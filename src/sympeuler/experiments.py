@@ -67,6 +67,7 @@ from .spectral import (
 
 __all__ = [
     "ResolutionGuardError",
+    "ExperimentFailure",
     "oracle_2d_solve",
     "disjoint_support_probe",
     "log_estimate_probe",
@@ -85,6 +86,10 @@ __all__ = [
 
 class ResolutionGuardError(RuntimeError):
     """Requested scales cannot be resolved on the given grid."""
+
+
+class ExperimentFailure(RuntimeError):
+    """A measured quantity left the range the experiment's analysis needs."""
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +292,10 @@ def find_probe_direction(u_star: VectorField, candidates, epsilon: float,
     exponential by exp_via_flow at the shared step dt; picks the candidate
     and point with the largest response.
 
-    Returns (w_star, x_star, m_star, index). Candidates must be
-    H^s-normalized (checked at s inferred from ||.||=1 being scale-free:
-    the caller's normalization is trusted to 1e-8).
+    Returns (w_star, x_star, m_star, index). The responses compare only
+    if the candidates share one H^s norm, which is not checked here: the
+    one caller, build_nonuniform_config, takes unit-H^s candidates from
+    _candidate_builders.
     """
     grid = u_star.grid
     best = None
@@ -303,8 +309,8 @@ def find_probe_direction(u_star: VectorField, candidates, epsilon: float,
             best = (m_here, idx, mag)
     m_star, idx, mag = best
     if m_star < 1e-6:
-        raise RuntimeError("all candidates gave derivative below 1e-6; "
-                           "pick a different base point")
+        raise ExperimentFailure("all candidates gave derivative below 1e-6; "
+                                "pick a different base point")
     # tie-break toward the box center (keeps experiment data central)
     coords = grid.coordinate_stack()
     tied = mag >= m_star * (1.0 - 1e-12)
@@ -328,6 +334,7 @@ class NonuniformConfig:
     m_star: float
     radii: np.ndarray
     constants: dict
+    cfl: float                  # of every paired solve in run_nonuniform
 
 
 @dataclasses.dataclass
@@ -516,11 +523,11 @@ def build_nonuniform_config(grid: GridSpec | None = None,
     })
     return NonuniformConfig(
         grid=grid, s=s, R_used=r_used, K=K, x_star=x_star, u_star=u_star,
-        w_star=w_star, m_star=m_star, radii=radii, constants=constants)
+        w_star=w_star, m_star=m_star, radii=radii, constants=constants,
+        cfl=cfl)
 
 
-def run_nonuniform(config: NonuniformConfig, cfl: float = 0.7,
-                   csv_path=None, json_path=None,
+def run_nonuniform(config: NonuniformConfig, csv_path=None, json_path=None,
                    progress=None) -> NonuniformReport:
     """Runs the K paired time-1 solves and assembles the report.
 
@@ -538,7 +545,7 @@ def run_nonuniform(config: NonuniformConfig, cfl: float = 0.7,
         u0_tilde = VectorField(grid, u0.values + config.w_star.values / k)
         runs = []
         for w in (u0, u0_tilde):
-            dt = cfl_timestep(w, 1.0, cfl)
+            dt = cfl_timestep(w, 1.0, config.cfl)
             runs.append(integrate(w, 1.0, dt, diag_every=10 ** 9,
                                   trace_points=pts))
         base, tilde = runs
@@ -553,7 +560,7 @@ def run_nonuniform(config: NonuniformConfig, cfl: float = 0.7,
         separation = float(np.linalg.norm(tilde.trace[-1] - base.trace[-1]))
         lower, upper = config.m_star / (2.0 * k), 3.0 * config.m_star / k
         if not lower <= separation <= upper:
-            raise RuntimeError(
+            raise ExperimentFailure(
                 f"k={k}: separation {separation:.6g} outside "
                 f"[{lower:.6g}, {upper:.6g}]")
         rows.append(NonuniformRow(k, input_dist, output_gap, sdiv_gap,

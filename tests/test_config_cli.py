@@ -1,6 +1,7 @@
 """Config schema validation and end-to-end CLI runs (in-process)."""
 
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from sympeuler.config import (
     load_config,
     parse_run_config,
 )
+from sympeuler.experiments import ExperimentFailure, build_nonuniform_config
 from sympeuler.operators import omega_deformation
 from sympeuler.snapshots import read_snapshot
 from sympeuler.spectral import sobolev_norm
@@ -81,6 +83,9 @@ def test_seed_required_for_random_kinds():
     for kind in ("random_symplectic", "random_vector"):
         with pytest.raises(ConfigError, match="initial.seed: required"):
             parse({"time": {"cfl": 0.5}, "initial": {"kind": kind}})
+        with pytest.raises(ConfigError, match="initial.seed: must be >= 0"):
+            parse({"time": {"cfl": 0.5},
+                   "initial": {"kind": kind, "seed": -1}})
 
 
 def test_unknown_keys_carry_dotted_path():
@@ -108,6 +113,29 @@ def test_string_norm_rejected():
         parse({"time": {"cfl": 0.5},
                "initial": {"kind": "random_symplectic", "seed": 1,
                            "norm": -2.0}})
+
+
+def test_underflowing_decay_is_a_config_error():
+    # every mode of the draw underflows to zero; nothing can normalize it
+    cfg = parse({"grid": {"points_per_axis": 32}, "time": {"cfl": 0.5},
+                 "initial": {"kind": "random_symplectic", "seed": 1,
+                             "decay": 1000.0}})
+    with pytest.raises(ConfigError, match="initial.decay: cannot normalize"):
+        build_initial_condition(cfg)
+
+
+def test_readme_example_parses_with_every_experiment_default():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        example = fh.read().split("```yaml\n", 1)[1].split("```", 1)[0]
+    cfg = parse(yaml.safe_load(example))
+    # the nonuniform defaults live in build_nonuniform_config's signature,
+    # the others in the schema
+    signature = inspect.signature(build_nonuniform_config).parameters
+    defaults = {key: signature[key].default
+                for key in ("R", "K", "epsilon", "cfl")}
+    defaults.update(parse({"time": {"cfl": 0.5}}).experiment)
+    assert cfg.experiment == defaults
 
 
 def test_center_validation():
@@ -312,6 +340,56 @@ def test_cli_rejects_keys_nothing_reads(tmp_path, capsys, section, key, value):
     assert message.startswith(f"{section}.{key}: unknown key")
 
 
+@pytest.mark.parametrize("kind, experiment, key", [
+    ("nonuniform", {"K": "3"}, "K"),
+    ("nonuniform", {"K": 0}, "K"),
+    ("nonuniform", {"cfl": 1.5}, "cfl"),
+    ("oracle2d", {"seeds": 3}, "seeds"),
+    ("oracle2d", {"seeds": [-1]}, "seeds"),
+    ("oracle2d", {"t_final": "0.5"}, "t_final"),
+    ("oracle2d", {"norm": -1}, "norm"),
+])
+def test_cli_experiment_keys_checked_before_any_solve(tmp_path, capsys, kind,
+                                                      experiment, key):
+    cfg = write_cfg(tmp_path, {"grid": {"points_per_axis": 32},
+                               "time": {"cfl": 0.5}, "experiment": experiment})
+    out = tmp_path / "out"
+    message = config_error_of(capsys, "experiment", kind, "--config", cfg,
+                              "--out", str(out))
+    assert message.startswith(f"experiment.{key}:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("selector", ["x", "13"])
+def test_cli_verify_bad_criteria_is_config_error(capsys, selector):
+    message = config_error_of(capsys, "verify", "--criteria", selector)
+    assert message.startswith("--criteria:") and selector in message
+
+
+def fail_nonuniform(monkeypatch, error):
+    import sympeuler.cli as cli
+
+    def fail(**kwargs):
+        raise error
+    monkeypatch.setattr(cli, "build_nonuniform_config", fail)
+
+
+def test_cli_experiment_failure_exit_3(tmp_path, capsys, monkeypatch):
+    fail_nonuniform(monkeypatch, ExperimentFailure("separation outside"))
+    assert run_cli("experiment", "nonuniform", "--out", str(tmp_path),
+                   "--quiet") == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "ExperimentFailure"
+
+
+def test_cli_foreign_errors_keep_their_traceback(tmp_path, monkeypatch):
+    # only the package's own error types map to exit codes; anything else
+    # is a bug, not a numerical failure
+    fail_nonuniform(monkeypatch, ValueError("a bug"))
+    with pytest.raises(ValueError, match="a bug"):
+        run_cli("experiment", "nonuniform", "--out", str(tmp_path), "--quiet")
+
+
 def test_cli_eulerian_dt_must_divide_t_final(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"grid": {"points_per_axis": 32},
                                "time": {"t_final": 1.0, "dt": 0.3}})
@@ -388,6 +466,19 @@ def test_cli_seed_override_changes_output(tmp_path):
                        "--seed", seed, "--quiet") == 0
         snaps.append((out / "final.snap").read_bytes())
     assert snaps[0] != snaps[1]
+
+
+def test_cli_seed_without_config_draws_random(tmp_path):
+    # without a file the default initial section is a seeded random draw
+    outs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"s{seed}"
+        assert run_cli("run-eulerian", "--out", str(out), "--seed", seed,
+                       "--quiet") == 0
+        with open(out / "diagnostics.csv", newline="") as fh:
+            assert all(float(row[1]) > 0 for row in list(csv.reader(fh))[1:])
+        outs.append((out / "final.snap").read_bytes())
+    assert outs[0] != outs[1]
 
 
 def test_cli_exp_map_writes_phi(tmp_path, capsys):
