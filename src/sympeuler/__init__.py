@@ -10,7 +10,6 @@ from .grids import GridSpec
 from .fields import ScalarField, SkewMatrixField, VectorField
 from .spectral import (
     ball_cutoff_mask,
-    bessel_potential,
     dealias_band,
     inverse_laplacian,
     lebesgue_norms,
@@ -18,7 +17,6 @@ from .spectral import (
     partial_derivative,
     riesz_transform,
     sobolev_norm,
-    spectral_ball_cutoff,
     two_thirds_truncate,
 )
 from .operators import (
@@ -27,7 +25,6 @@ from .operators import (
     advective_deformation_strain,
     compressibility_defect,
     constraint_force,
-    divergence,
     divergence_curl,
     jacobian,
     omega_deformation,
@@ -48,7 +45,6 @@ __all__ = [
     "VectorField",
     "SkewMatrixField",
     "ball_cutoff_mask",
-    "bessel_potential",
     "dealias_band",
     "inverse_laplacian",
     "lebesgue_norms",
@@ -56,14 +52,12 @@ __all__ = [
     "partial_derivative",
     "riesz_transform",
     "sobolev_norm",
-    "spectral_ball_cutoff",
     "two_thirds_truncate",
     "advection_term",
     "advective_deformation_flux",
     "advective_deformation_strain",
     "compressibility_defect",
     "constraint_force",
-    "divergence",
     "divergence_curl",
     "jacobian",
     "omega_deformation",

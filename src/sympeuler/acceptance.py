@@ -15,7 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .config import ConfigError
-from .eulerian import (cfl_timestep, dt_for_speed, integrate, max_speed)
+from .eulerian import (Integration, cfl_timestep, dt_for_speed, integrate,
+                       max_speed)
 from .experiments import (build_nonuniform_config, oracle_2d_solve,
                           probe_report, run_nonuniform)
 from .fields import VectorField
@@ -199,8 +200,8 @@ def criterion_4() -> tuple[bool, str]:
     grid = GridSpec(n=1, points_per_axis=128)
     u0 = _with_max_speed(random_symplectic(grid, seed=21, decay=0.75), 0.3)
     dt = dt_for_speed(grid, max_speed(u0), 1.0, 0.25)
-    res = integrate(u0, 1.0, dt, diag_every=10**9, record_velocity=True)
-    phi = flow_from_velocity(res.velocities, dt)
+    res = Integration(u0, 1.0, dt, diag_every=10**9)
+    phi = flow_from_velocity(res, dt)
     zeta0 = symplectic_divergence(u0)
     zeta1 = symplectic_divergence(res.state.u)
     transported = compose(zeta0, invert(phi))
@@ -390,6 +391,8 @@ def _parse_selection(selection: str | None) -> set[int]:
         except ValueError:
             raise ConfigError(f"--criteria: bad criterion selector "
                               f"{tok!r}") from None
+    if not numbers:
+        raise ConfigError(f"--criteria: {selection!r} names no criterion")
     if numbers - known:
         raise ConfigError(f"--criteria: unknown criteria "
                           f"{sorted(numbers - known)}")

@@ -82,7 +82,10 @@ def _load(args) -> RunConfig:
 
 def _out_dir(args) -> str:
     out = args.out if args.out is not None else "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigError(f"--out: {exc}") from exc
     return out
 
 

@@ -113,7 +113,8 @@ def _walk(raw: dict, section: str = "") -> dict:
             continue
         value = raw.get(key, default)
         accepted = (int, float) if kind is float else kind
-        if isinstance(value, bool) or not isinstance(value, accepted):
+        if (isinstance(value, bool) or not isinstance(value, accepted)
+                or kind is float and not abs(value) < float("inf")):
             raise ConfigError(f"{path}: expected {_EXPECTED[kind]}, "
                               f"got {value!r}")
         out[key] = _walk(value, key) if kind is dict else kind(value)
@@ -176,7 +177,7 @@ def parse_run_config(raw: dict) -> RunConfig:
     if kind in _RANDOM_KINDS and "seed" not in isec:
         raise ConfigError(f"initial.seed: required for kind {kind!r}")
     if not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-               for c in isec.get("center", ())):
+               and abs(c) < float("inf") for c in isec.get("center", ())):
         raise ConfigError("initial.center: expected numbers")
     if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
                for v in esec["seeds"]):

@@ -20,8 +20,10 @@ half-lattice symbols (derivatives, 2/3-rule mask, inverse Laplacian,
 frequency ball) from spectral.py, as the chain does, so both keep the
 same modes on every shell.
 
-rk4 is the one RK4 step of the package: integrate, the geodesic
-integrator and the flow-map reconstruction in lagrangian.py all call it.
+rk4 is the one RK4 step of the package: the Eulerian run, the geodesic
+integrator and the flow map all call it. The run, Integration, yields u
+after each step, so lagrangian.py steps the flow map as the samples
+arrive; integrate drains it.
 _atomic_write (temp file plus rename) is the one writer behind every
 output file: the diagnostics CSV, snapshots and JSON sidecars.
 """
@@ -35,7 +37,7 @@ import io
 import math
 import os
 import secrets
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,7 +67,7 @@ __all__ = [
     "fast_force",
     "rk4",
     "integrate",
-    "IntegrationResult",
+    "Integration",
     "write_diagnostics_csv",
 ]
 
@@ -355,72 +357,87 @@ def rk4(rhs: Callable[[float, tuple], tuple], y: tuple, dt: float) -> tuple:
                  for a, p, q, r, w in zip(y, k1, k2, k3, k4))
 
 
-@dataclasses.dataclass
-class IntegrationResult:
-    state: EulerianState
-    records: list[DiagnosticsRecord]
-    trace: np.ndarray | None = None        # (steps+1, dim, n_points), unwrapped
-    velocities: list[VectorField] | None = None
+@dataclasses.dataclass(eq=False)
+class Integration:
+    """The Eulerian run from u0 to t_final, as an iterable.
+
+    Iterating yields u at t = 0, dt, ..., t_final, each after its step's
+    finite check, projection, trace update, diagnostics and H^s guard, and
+    fills in state, records (see DIAGNOSTIC_COLUMNS) and trace. Nothing
+    keeps the history. trace_points (dim, M) move with the RK4 stage
+    velocities, sampled by local Lagrange stencils; trace (steps+1, dim,
+    M) holds their unwrapped (covering-space) positions.
+    """
+
+    u0: VectorField
+    t_final: float
+    dt: float
+    cutoff_radius: float = 1.0
+    diag_every: int = 1
+    s: float = 3.0
+    project_every: int = 0
+    trace_points: np.ndarray | None = None
+    state: EulerianState | None = dataclasses.field(default=None, init=False)
+    records: list[DiagnosticsRecord] = dataclasses.field(
+        default_factory=list, init=False)
+    trace: np.ndarray | None = dataclasses.field(default=None, init=False)
+
+    def __iter__(self) -> Iterator[VectorField]:
+        grid, dt = self.u0.grid, self.dt
+        steps = step_count(self.t_final, dt)
+        _check_finite(0.0, (self.u0.values,))
+        self.state = EulerianState(0.0, self.u0)
+        self.records = [diagnostics(self.state, self.s)]
+        hs_initial = max(self.records[0].hs, 1e-300)
+        tracing = self.trace_points is not None
+        y = (self.u0.values,)
+        if tracing:
+            y += (np.array(self.trace_points, dtype=float),)
+            self.trace = np.empty((steps + 1,) + y[1].shape)
+            self.trace[0] = y[1]
+
+        def rhs(c, y):
+            k = (fast_rhs(VectorField(grid, y[0]), self.cutoff_radius).values,)
+            if tracing:
+                # positions move through the same stage fields (coupled RK4)
+                k += (local_lagrange_sample(grid, y[0],
+                                            y[1] % grid.box_length),)
+            return k
+
+        yield self.u0
+        for step in range(1, steps + 1):
+            y = rk4(rhs, y, dt)
+            _check_finite(step * dt, y)
+            new_u = VectorField(grid, y[0])
+            if self.project_every and step % self.project_every == 0:
+                new_u = project_symplectic(new_u)
+                y = (new_u.values,) + y[1:]
+            if tracing:
+                self.trace[step] = y[1]
+            self.state = EulerianState(step * dt, new_u)
+            if step % self.diag_every == 0 or step == steps:
+                rec = diagnostics(self.state, self.s, self.records[-1])
+                self.records.append(rec)
+                if rec.hs > 1e6 * hs_initial:
+                    raise DiscretizationFailure(
+                        self.state.t, "H^s norm exceeded 1e6 x initial")
+            yield new_u
 
 
 def integrate(u0: VectorField, t_final: float, dt: float,
               cutoff_radius: float = 1.0, diag_every: int = 1,
               s: float = 3.0, project_every: int = 0,
               trace_points: np.ndarray | None = None,
-              record_velocity: bool = False,
-              csv_path: str | os.PathLike | None = None) -> IntegrationResult:
-    """Advances u0 to t_final; see DIAGNOSTIC_COLUMNS for the CSV layout.
-
-    trace_points (dim, M) are advected alongside the field using the RK4
-    stage velocities themselves, sampled by local Lagrange stencils; the
-    returned trajectory is unwrapped (covering-space positions).
-    """
-    grid = u0.grid
-    steps = step_count(t_final, dt)
-    _check_finite(0.0, (u0.values,))
-    state = EulerianState(0.0, u0)
-    rec = diagnostics(state, s)
-    records = [rec]
-    hs_initial = max(rec.hs, 1e-300)
-
-    tracing = trace_points is not None
-    if tracing:
-        pts = np.array(trace_points, dtype=float)
-        trace = np.empty((steps + 1,) + pts.shape)
-        trace[0] = pts
-    velocities = [u0] if record_velocity else None
-
-    def rhs(c, y):
-        k = (fast_rhs(VectorField(grid, y[0]), cutoff_radius).values,)
-        if tracing:
-            # positions move through the same stage fields (coupled RK4)
-            k += (local_lagrange_sample(grid, y[0], y[1] % grid.box_length),)
-        return k
-
-    y = (u0.values, pts) if tracing else (u0.values,)
-    for step in range(1, steps + 1):
-        y = rk4(rhs, y, dt)
-        _check_finite(step * dt, y)
-        new_u = VectorField(grid, y[0])
-        if project_every and step % project_every == 0:
-            new_u = project_symplectic(new_u)
-            y = (new_u.values,) + y[1:]
-        if tracing:
-            trace[step] = y[1]
-        state = EulerianState(step * dt, new_u)
-        if record_velocity:
-            velocities.append(state.u)
-        if step % diag_every == 0 or step == steps:
-            rec = diagnostics(state, s, records[-1])
-            records.append(rec)
-            if rec.hs > 1e6 * hs_initial:
-                raise DiscretizationFailure(
-                    state.t, "H^s norm exceeded 1e6 x initial")
-
+              csv_path: str | os.PathLike | None = None) -> Integration:
+    """Runs an Integration to its end and, given csv_path, writes its
+    records there; see DIAGNOSTIC_COLUMNS for the CSV layout."""
+    run = Integration(u0, t_final, dt, cutoff_radius, diag_every, s,
+                      project_every, trace_points)
+    for _ in run:
+        pass
     if csv_path is not None:
-        write_diagnostics_csv(csv_path, [r.row() for r in records])
-    return IntegrationResult(state, records,
-                             trace if tracing else None, velocities)
+        write_diagnostics_csv(csv_path, [r.row() for r in run.records])
+    return run
 
 
 def _atomic_write(path: str | os.PathLike, *chunks) -> None:

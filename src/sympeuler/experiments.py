@@ -24,6 +24,7 @@ import numpy as np
 
 from .eulerian import (
     DiscretizationFailure,
+    Integration,
     _atomic_write,
     cfl_timestep,
     dt_for_speed,
@@ -274,16 +275,15 @@ def exp_via_flow(u0: VectorField, dt: float) -> DiffeoMap:
     """Time-1 flow map of the Eulerian solution (equivalent to the
     geodesic exponential; much cheaper for repeated probing).
 
-    The map comes from the recorded velocities by RK4 at 2*dt, each
-    middle sample serving as the exact midpoint (flow_from_velocity); only
-    an odd step count interpolates one midpoint in time.
+    flow_from_velocity steps the map by RK4 at 2*dt as the Eulerian run
+    yields its samples, each middle one the exact midpoint; only an odd
+    step count interpolates one midpoint in time.
 
     Finite-difference probes of exp must pass a shared dt: integrator
     error is odd in a velocity boost, so it cancels between matched +eps
     and -eps runs but not between runs with independently chosen steps.
     """
-    result = integrate(u0, 1.0, dt, diag_every=10 ** 9, record_velocity=True)
-    return flow_from_velocity(result.velocities, dt)
+    return flow_from_velocity(Integration(u0, 1.0, dt, diag_every=10**9), dt)
 
 
 def find_probe_direction(u_star: VectorField, candidates, epsilon: float,

@@ -4,16 +4,20 @@ A map is stored as identity-plus-displacement; composition and inversion
 work through periodic interpolation (spectral upsampling, then quintic
 B-splines). The geodesic vector field on (map, velocity) pairs is
 (v, B(v o phi^{-1}) o phi). It, and the reconstruction of a flow map
-from stored Eulerian velocities, step through eulerian.rk4, the stepper
+from Eulerian velocity samples, step through eulerian.rk4, the stepper
 of the Eulerian integrator, so the two formulations are integrated by the
-same arithmetic. The reconstruction steps at twice the sample spacing:
-the sample between two others is the exact RK4 midpoint, and only an odd
-last interval needs a midpoint interpolated in time.
+same arithmetic. The reconstruction takes the samples as an Eulerian run
+yields them, keeping at most four, and steps at twice the sample
+spacing: the sample between two others is the exact RK4 midpoint, and
+only an odd last interval needs a midpoint interpolated in time.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
+from collections import deque
+from typing import Iterable
 
 import numpy as np
 
@@ -71,19 +75,11 @@ class DiffeoMap:
         J[np.arange(d), np.arange(d)] += 1.0
         return J
 
-    def det_jacobian(self) -> np.ndarray:
-        stack = _matrix_stack(self.jacobian_matrix())
-        return np.linalg.det(stack).reshape(self.grid.shape)
-
-
-def _matrix_stack(J: np.ndarray) -> np.ndarray:
-    """(d, d, *shape) matrix field -> (points, d, d), one matrix per point."""
-    return np.moveaxis(J.reshape(J.shape[:2] + (-1,)), -1, 0)
-
 
 def _max_spectral_norm(J: np.ndarray) -> float:
     """Max over grid points of the spectral norm of a (d, d, *shape) field."""
-    return float(np.linalg.svd(_matrix_stack(J), compute_uv=False)[:, 0].max())
+    stack = np.moveaxis(J.reshape(J.shape[:2] + (-1,)), -1, 0)  # (points, d, d)
+    return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max())
 
 
 @dataclasses.dataclass
@@ -225,45 +221,48 @@ def exp_map(u0: VectorField, dt: float = 0.01,
     return geodesic_integrate(u0, 1.0, dt, cutoff_radius).phi
 
 
-def flow_from_velocity(velocities: list[VectorField], dt: float) -> DiffeoMap:
-    """Integrates phi_t = u(t) o phi from stored velocity samples.
+def flow_from_velocity(velocities: Iterable[VectorField],
+                       dt: float) -> DiffeoMap:
+    """Integrates phi_t = u(t) o phi from velocity samples as they arrive.
 
-    velocities[i] is u at t = i*dt. The flow is smooth in time, so it
-    steps at 2*dt over pairs of intervals, whose middle sample is the exact
-    RK4 midpoint: stage c=0 takes sample i, c=1/2 sample i+1 and c=1
-    sample i+2. An odd step count ends with one dt step whose midpoint is
-    cubic in time through the last (up to) four samples.
+    The i-th sample is u at t = i*dt; any iterable serves, an Integration
+    run included, and at most four samples are kept. The flow is smooth in
+    time, so it steps at 2*dt over pairs of intervals, whose middle sample
+    is the exact RK4 midpoint: stage c=0 takes sample i, c=1/2 sample i+1
+    and c=1 sample i+2. An odd step count ends with one dt step whose
+    midpoint is cubic in time through the last (up to) four samples.
     """
-    if len(velocities) < 2:
+    samples = iter(velocities)
+    recent = deque(itertools.islice(samples, 1), maxlen=4)
+    if not recent:
         raise ValueError("need at least two velocity samples")
-    grid = velocities[0].grid
-    steps = len(velocities) - 1
+    grid = recent[0].grid
     coords = grid.coordinate_stack()
-
-    def sample(i: int) -> PeriodicInterpolator:
-        return PeriodicInterpolator(grid, velocities[i].values)
 
     def rhs(c, y):
         # the stage offset picks the field: start, midpoint or end
         return (fields[c](y[0]),)
 
-    y = (coords,)
-    fields = {1.0: sample(0)}
-    for i in range(0, steps - 1, 2):
-        # the last step's end field carries over; its other two are freed
-        # before the next two are built, which keeps the peak memory down
-        fields = {0.0: fields[1.0]}
-        fields[0.5] = sample(i + 1)
-        fields[1.0] = sample(i + 2)
-        y = rk4(rhs, y, 2.0 * dt)
-        _check_finite((i + 2) * dt, y, "flow map")
-    if steps % 2:
-        fields = {0.0: fields[1.0]}
-        base = max(steps - 3, 0)
-        w = _lagrange_weights(np.asarray(steps - 0.5 - base), steps + 1 - base)
-        mid = sum(w[j] * velocities[base + j].values for j in range(len(w)))
-        fields[0.5] = PeriodicInterpolator(grid, mid)
-        fields[1.0] = sample(steps)
-        y = rk4(rhs, y, dt)
+    y, steps = (coords,), 0
+    fields = {0.0: PeriodicInterpolator(grid, recent[0].values)}
+    for mid, end in itertools.zip_longest(samples, samples):
+        if end is None:
+            # odd tail: one dt step, midpoint interpolated in time
+            recent.append(mid)
+            w = _lagrange_weights(np.asarray(len(recent) - 1.5), len(recent))
+            mid = VectorField(grid, sum(wj * v.values
+                                        for wj, v in zip(w, recent)))
+            end, h, steps = recent[-1], dt, steps + 1
+        else:
+            recent.extend((mid, end))
+            h, steps = 2.0 * dt, steps + 2
+        fields[0.5] = PeriodicInterpolator(grid, mid.values)
+        fields[1.0] = PeriodicInterpolator(grid, end.values)
+        y = rk4(rhs, y, h)
         _check_finite(steps * dt, y, "flow map")
+        # the end field carries over; the other two are freed before the
+        # next samples are computed and their interpolators built
+        fields = {0.0: fields[1.0]}
+    if steps == 0:
+        raise ValueError("need at least two velocity samples")
     return DiffeoMap(grid, VectorField(grid, y[0] - coords))

@@ -52,7 +52,6 @@ from .spectral import (
 __all__ = [
     "symplectic_matrix",
     "jacobian",
-    "divergence",
     "skew_divergence",
     "omega_deformation",
     "omega_deformation_adjoint",
@@ -105,10 +104,6 @@ def _skew_gradient(grid: GridSpec, V_hat: np.ndarray) -> SkewMatrixField:
 def jacobian(u: VectorField) -> np.ndarray:
     """All partial derivatives as an array J[i, j] = d_j u_i (physical)."""
     return _irfftn(_gradient_hat(u.grid, u.rhat), u.grid.shape)
-
-
-def divergence(u: VectorField) -> ScalarField:
-    return ScalarField.from_rspectral(u.grid, _divergence_hat(u))
 
 
 def _skew_divergence(Y: SkewMatrixField) -> np.ndarray:

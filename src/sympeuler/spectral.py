@@ -31,8 +31,6 @@ __all__ = [
     "partial_derivative",
     "inverse_laplacian",
     "riesz_transform",
-    "bessel_potential",
-    "spectral_ball_cutoff",
     "ball_cutoff_mask",
     "littlewood_paley_blocks",
     "littlewood_paley_profiles",
@@ -153,16 +151,6 @@ def riesz_transform(u, axis: int):
     xi2 = _xi_squared(u.grid)
     inv_norm = np.where(xi2 > 0.0, 1.0 / np.sqrt(np.where(xi2 > 0.0, xi2, 1.0)), 0.0)
     return _apply_symbol(u, _half_derivative(u.grid, axis) * inv_norm)
-
-
-def bessel_potential(u, s: float):
-    """J^s: multiplication by (1 + |xi|^2)^{s/2}."""
-    return _apply_symbol(u, (1.0 + _xi_squared(u.grid)) ** (0.5 * s))
-
-
-def spectral_ball_cutoff(u, radius: float):
-    """Sharp low-pass: zero all coefficients with |xi| > radius."""
-    return _apply_symbol(u, ball_cutoff_mask(u.grid, radius))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import csv
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -364,6 +365,50 @@ def test_cli_experiment_keys_checked_before_any_solve(tmp_path, capsys, kind,
 def test_cli_verify_bad_criteria_is_config_error(capsys, selector):
     message = config_error_of(capsys, "verify", "--criteria", selector)
     assert message.startswith("--criteria:") and selector in message
+
+
+@pytest.mark.parametrize("selector", [",", "", " , "],
+                         ids=["comma", "empty", "blank"])
+def test_cli_verify_empty_criteria_is_config_error(capsys, selector):
+    # a selection that names no criterion would run nothing and pass
+    message = config_error_of(capsys, "verify", "--criteria", selector)
+    assert message == f"--criteria: {selector!r} names no criterion"
+
+
+@pytest.mark.parametrize("raw, path", [
+    ({"s": math.inf}, "s"),
+    ({"s": math.nan}, "s"),
+    ({"grid": {"points_per_axis": 16, "box_length": math.inf}},
+     "grid.box_length"),
+    ({"time": {"t_final": math.inf, "cfl": 0.5}}, "time.t_final"),
+    ({"initial": {"kind": "random_symplectic", "seed": 1,
+                  "norm": math.inf}}, "initial.norm"),
+    ({"cutoff_radius": math.inf}, "cutoff_radius"),
+    ({"initial": {"kind": "sympl_grad_bump", "center": [math.inf, 0.1]}},
+     "initial.center"),
+], ids=["s-inf", "s-nan", "box_length-inf", "t_final-inf", "norm-inf",
+        "cutoff_radius-inf", "center-inf"])
+def test_cli_non_finite_numbers_are_config_errors(tmp_path, capsys, raw,
+                                                  path):
+    # YAML reads .inf and .nan as floats; no key or list entry takes them
+    cfg = write_cfg(tmp_path, {"grid": {"points_per_axis": 16},
+                               "time": {"cfl": 0.5}, **raw})
+    out = tmp_path / "out"
+    message = config_error_of(capsys, "run-eulerian", "--config", cfg,
+                              "--out", str(out))
+    assert message.startswith(f"{path}: expected ")
+    assert not out.exists()
+
+
+def test_cli_out_naming_a_file_is_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    cfg = write_cfg(tmp_path, {"grid": {"points_per_axis": 16},
+                               "time": {"t_final": 0.1, "dt": 0.1}})
+    message = config_error_of(capsys, "run-eulerian", "--config", cfg,
+                              "--out", str(taken))
+    assert message.startswith("--out:")
+    assert taken.read_text() == "kept"
 
 
 def fail_nonuniform(monkeypatch, error):

@@ -15,6 +15,7 @@ from sympeuler.eulerian import (
     DIAGNOSTIC_COLUMNS,
     DiscretizationFailure,
     EulerianState,
+    Integration,
     cfl_timestep,
     diagnostics,
     dt_for_speed,
@@ -292,12 +293,14 @@ def test_trace_constant_advection(grid64):
     assert res.trace.shape == (11, 2, 3)
 
 
-def test_record_velocity_layout(grid32):
+def test_iteration_layout(grid32):
+    # a run yields steps + 1 fields: u0 first, its final state last
     u0 = scaled(random_symplectic(grid32, seed=54), 0.1)
-    res = integrate(u0, 0.2, 0.05, record_velocity=True)
-    assert len(res.velocities) == 5
-    assert np.array_equal(res.velocities[0].values, u0.values)
-    assert np.array_equal(res.velocities[-1].values, res.state.u.values)
+    run = Integration(u0, 0.2, 0.05)
+    fields = list(run)
+    assert len(fields) == 5
+    assert np.array_equal(fields[0].values, u0.values)
+    assert np.array_equal(fields[-1].values, run.state.u.values)
 
 
 def test_nan_aborts(grid32):

@@ -1,10 +1,13 @@
 """Flow maps and the geodesic formulation: composition, inversion, exp map."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+import sympeuler.eulerian as eulerian
 import sympeuler.lagrangian as lagrangian
-from sympeuler.eulerian import integrate
+from sympeuler.eulerian import DiscretizationFailure, Integration, integrate
 from sympeuler.fields import ScalarField, VectorField
 from sympeuler.grids import GridSpec
 from sympeuler.initial_conditions import random_symplectic, steady_shear
@@ -283,7 +286,7 @@ def test_exp_consistent_with_geodesic_flow():
 
 
 # ---------------------------------------------------------------------------
-# flow map from velocity history
+# flow map from velocity samples
 
 
 def test_flow_of_zero_velocity():
@@ -364,12 +367,63 @@ def test_flow_odd_tail_is_one_step_with_cubic_midpoint(steps):
     assert np.max(np.abs(phi.displacement.values[1])) == 0.0
 
 
+@pytest.mark.parametrize("steps", [1, 3, 10, 11])
+def test_streamed_flow_equals_flow_of_the_listed_run(steps):
+    # stepping the flow between the run's steps changes no rounding
+    u0 = small_symplectic(GRID32, seed=69, amp=0.3)
+    dt = 0.5 / steps
+    streamed = flow_from_velocity(Integration(u0, 0.5, dt), dt)
+    listed = flow_from_velocity(list(Integration(u0, 0.5, dt)), dt)
+    assert np.array_equal(streamed.displacement.values,
+                          listed.displacement.values)
+
+
+def _peak_live_samples(steps, dt=0.01):
+    """Most yielded velocity arrays alive at once while the flow is
+    stepped from a run."""
+    u0 = small_symplectic(GRID32, seed=70)
+    refs, peak = [], 0
+
+    def watched():
+        nonlocal peak
+        for u in Integration(u0, steps * dt, dt, diag_every=10 ** 9):
+            refs.append(weakref.ref(u.values))
+            peak = max(peak, sum(r() is not None for r in refs))
+            yield u
+
+    flow_from_velocity(watched(), dt)
+    return peak
+
+
+def test_streamed_flow_keeps_a_bounded_number_of_samples():
+    # a record of the run would keep steps + 1 samples
+    assert _peak_live_samples(40) <= _peak_live_samples(10) <= 8
+
+
+def test_streamed_flow_raises_the_run_guard(monkeypatch):
+    # a NaN from the third step on stops the flow with the run's failure
+    real, calls = eulerian.fast_rhs, []
+
+    def poisoned(u, cutoff_radius):
+        calls.append(1)
+        out = real(u, cutoff_radius)
+        if len(calls) > 8:
+            out.values[0, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(eulerian, "fast_rhs", poisoned)
+    run = Integration(small_symplectic(GRID32, seed=71), 0.5, 0.05)
+    with pytest.raises(DiscretizationFailure, match=r"t=0\.15: NaN"):
+        flow_from_velocity(run, 0.05)
+    assert run.state.t == 0.1
+
+
 def test_flow_of_solution_is_volume_preserving():
     # divergence-free velocity history: det(d phi) = 1 along the flow
     u0 = small_symplectic(GRID, seed=64, amp=0.3)
-    res = integrate(u0, 0.25, 0.0125, record_velocity=True)
-    phi = flow_from_velocity(res.velocities, 0.0125)
-    det = phi.det_jacobian()
+    phi = flow_from_velocity(Integration(u0, 0.25, 0.0125), 0.0125)
+    J = np.moveaxis(phi.jacobian_matrix(), (0, 1), (-2, -1))
+    det = np.linalg.det(J)
     assert np.all(det > 0.0)
     assert np.max(np.abs(det - 1.0)) < 1e-6
 
@@ -382,8 +436,7 @@ def test_symplectic_residual_trivial_maps():
 
 def test_solution_flow_is_symplectic():
     u0 = small_symplectic(GRID, seed=65, amp=0.3)
-    res = integrate(u0, 0.25, 0.0125, record_velocity=True)
-    phi = flow_from_velocity(res.velocities, 0.0125)
+    phi = flow_from_velocity(Integration(u0, 0.25, 0.0125), 0.0125)
     assert symplectic_residual(phi) < 1e-6
 
 
@@ -392,8 +445,8 @@ def test_noether_charge_transported():
     # carried along particle paths for solutions on the manifold
     u0 = small_symplectic(GRID, seed=66, amp=0.3)
     T, dt = 0.25, 0.0125
-    res = integrate(u0, T, dt, record_velocity=True)
-    phi = flow_from_velocity(res.velocities, dt)
+    res = Integration(u0, T, dt)
+    phi = flow_from_velocity(res, dt)
     zeta_t = symplectic_divergence(res.state.u)
     pulled = compose(zeta_t, phi)
     zeta_0 = symplectic_divergence(u0)

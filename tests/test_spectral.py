@@ -18,7 +18,6 @@ from sympeuler.spectral import (
     _xi_magnitude,
     _xi_squared,
     ball_cutoff_mask,
-    bessel_potential,
     dealias_band,
     dealias_mask,
     inverse_laplacian,
@@ -29,7 +28,6 @@ from sympeuler.spectral import (
     partial_derivative,
     riesz_transform,
     sobolev_norm,
-    spectral_ball_cutoff,
     spectral_upsample,
     two_thirds_truncate,
 )
@@ -235,7 +233,7 @@ def test_derivative_antisymmetry(grid64):
 
 
 # ---------------------------------------------------------------------------
-# inverse_laplacian, riesz, bessel
+# inverse_laplacian, riesz
 
 
 def test_inverse_laplacian_eigenfunction(grid64):
@@ -276,47 +274,33 @@ def test_riesz_kills_constants(grid32):
     assert np.max(np.abs(riesz_transform(one, 0).values)) == 0.0
 
 
-def test_bessel_identity_and_mode(grid64):
-    f = random_potential(grid64, seed=7)
-    assert rel_err(bessel_potential(f, 0.0).values, f.values) < 1e-14
-    two = bessel_potential(sin_mode(grid64), 2.0)
-    assert np.max(np.abs(two.values - 2.0 * sin_mode(grid64).values)) < 1e-12
-
-
-def test_bessel_inverse_pair(grid64):
-    f = random_potential(grid64, seed=8)
-    back = bessel_potential(bessel_potential(f, -3.0), 3.0)
-    assert rel_err(back.values, f.values) < 1e-12
-
-
-def test_bessel_commutes_with_inverse_laplacian(grid64):
-    f = random_potential(grid64, seed=9)
-    a = bessel_potential(inverse_laplacian(f), 2.0)
-    b = inverse_laplacian(bessel_potential(f, 2.0))
-    assert rel_err(a.values, b.values) < 1e-14
-
-
 # ---------------------------------------------------------------------------
 # ball cutoff
+
+
+def ball_cut(f, radius):
+    """f with every coefficient outside the ball |xi| <= radius zeroed."""
+    return ScalarField.from_rspectral(
+        f.grid, f.rhat * ball_cutoff_mask(f.grid, radius))
 
 
 def test_ball_cutoff_excludes_and_retains(grid64):
     low = sin_mode(grid64, mult=1)
     high = sin_mode(grid64, mult=2)
-    assert np.max(np.abs(spectral_ball_cutoff(high, 1.0).values)) < 1e-14
-    kept = spectral_ball_cutoff(low, 1.0)
+    assert np.max(np.abs(ball_cut(high, 1.0).values)) < 1e-14
+    kept = ball_cut(low, 1.0)
     assert np.max(np.abs(kept.values - low.values)) < 1e-13
 
 
 def test_ball_cutoff_projection_and_recovery(grid64):
     f = random_potential(grid64, seed=10)
-    once = spectral_ball_cutoff(f, 5.0)
-    twice = spectral_ball_cutoff(once, 5.0)
+    once = ball_cut(f, 5.0)
+    twice = ball_cut(once, 5.0)
     assert np.array_equal(once.values, twice.values)
     # exact recovery once the radius clears the field's bandwidth
     band = dealias_band(grid64.points_per_axis)
     radius = np.sqrt(2.0) * band + 1.0
-    assert rel_err(spectral_ball_cutoff(f, radius).values, f.values) < 1e-13
+    assert rel_err(ball_cut(f, radius).values, f.values) < 1e-13
 
 
 def test_ball_cutoff_rejects_bad_radius(grid32):

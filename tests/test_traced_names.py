@@ -80,14 +80,19 @@ def test_geodesic_integrate_inverts_through_module_attribute(monkeypatch):
     assert len(calls) == 4 * 3
 
 
-@pytest.mark.parametrize("steps, builds, evaluations",
-                         [(10, 11, 20), (11, 13, 24)])
+@pytest.mark.parametrize("steps, builds, evaluations, one_shot", [
+    pytest.param(10, 11, 20, False, id="10-11-20"),
+    pytest.param(11, 13, 24, False, id="11-13-24"),
+    pytest.param(10, 11, 20, True, id="10-11-20-generator"),
+    pytest.param(11, 13, 24, True, id="11-13-24-generator"),
+])
 def test_flow_from_velocity_interpolator_counts(monkeypatch, steps, builds,
-                                                evaluations):
+                                                evaluations, one_shot):
     # the tracer's interp.build and interp.eval spans count interpolators
     # made through the module attribute: one build per sample, and one RK4
     # step (four evaluations) per pair of intervals, plus for an odd count
-    # a one-interval step that builds its interpolated midpoint
+    # a one-interval step that builds its interpolated midpoint. A list and
+    # a one-shot generator of the same samples count the same.
     counts = {"build": 0, "eval": 0}
 
     class Counting(PeriodicInterpolator):
@@ -102,5 +107,8 @@ def test_flow_from_velocity_interpolator_counts(monkeypatch, steps, builds,
     monkeypatch.setattr(lagrangian, "PeriodicInterpolator", Counting)
     grid = GridSpec(n=1, points_per_axis=16)
     u = random_symplectic(grid, seed=4, decay=1.0)
-    lagrangian.flow_from_velocity([u] * (steps + 1), 0.01)
+    samples = [u] * (steps + 1)
+    if one_shot:
+        samples = (v for v in samples)
+    lagrangian.flow_from_velocity(samples, 0.01)
     assert counts == {"build": builds, "eval": evaluations}
