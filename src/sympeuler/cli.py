@@ -32,11 +32,11 @@ from .eulerian import (
     integrate,
     step_count,
     write_diagnostics_csv,
+    write_json,
 )
 from .experiments import (
     ExperimentFailure,
     ResolutionGuardError,
-    _write_json,
     build_nonuniform_config,
     oracle_2d_solve,
     probe_report,
@@ -142,7 +142,7 @@ def cmd_run_lagrangian(args) -> int:
 
     write_diagnostics_csv(
         os.path.join(out, "diagnostics.csv"),
-        [r.row() + (q,) for r, q in zip(rows, residuals)],
+        [(*r, q) for r, q in zip(rows, residuals)],
         columns=DIAGNOSTIC_COLUMNS + ("symplectic_residual",))
     if cfg.snapshot:
         write_snapshot(os.path.join(out, "phi.snap"), state.phi)
@@ -230,7 +230,7 @@ def cmd_experiment(args) -> int:
         _say(args, f"max_discrepancy={worst:.12g}")
         return EXIT_OK
     report = probe_report(s=cfg.s)   # argparse admits no other kind
-    _write_json(os.path.join(out, "probes.json"), report)
+    write_json(os.path.join(out, "probes.json"), report)
     for name, block in report.items():
         _say(args, f"{name}: constant={block['constant']:.6g} "
                    f"stability={block['stability']:.4f}")

@@ -11,6 +11,7 @@ pinpoints its own fix.
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import numpy as np
 import yaml
@@ -113,8 +114,9 @@ def _walk(raw: dict, section: str = "") -> dict:
             continue
         value = raw.get(key, default)
         accepted = (int, float) if kind is float else kind
+        # a float key takes finite floats and the integers a float can hold
         if (isinstance(value, bool) or not isinstance(value, accepted)
-                or kind is float and not abs(value) < float("inf")):
+                or kind is float and not abs(value) <= sys.float_info.max):
             raise ConfigError(f"{path}: expected {_EXPECTED[kind]}, "
                               f"got {value!r}")
         out[key] = _walk(value, key) if kind is dict else kind(value)
@@ -133,7 +135,8 @@ def load_config(path) -> dict:
             raw = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: a scalar Python cannot build (2023-02-30, 5000 digits)
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if raw is None:
         raw = {}
@@ -177,7 +180,8 @@ def parse_run_config(raw: dict) -> RunConfig:
     if kind in _RANDOM_KINDS and "seed" not in isec:
         raise ConfigError(f"initial.seed: required for kind {kind!r}")
     if not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-               and abs(c) < float("inf") for c in isec.get("center", ())):
+               and abs(c) <= sys.float_info.max
+               for c in isec.get("center", ())):
         raise ConfigError("initial.center: expected numbers")
     if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
                for v in esec["seeds"]):

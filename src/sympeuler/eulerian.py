@@ -25,7 +25,8 @@ integrator and the flow map all call it. The run, Integration, yields u
 after each step, so lagrangian.py steps the flow map as the samples
 arrive; integrate drains it.
 _atomic_write (temp file plus rename) is the one writer behind every
-output file: the diagnostics CSV, snapshots and JSON sidecars.
+output file: the diagnostics CSV, snapshots and JSON sidecars
+(write_json).
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ import csv
 import dataclasses
 import functools
 import io
+import json
 import math
 import os
 import secrets
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,6 +71,7 @@ __all__ = [
     "integrate",
     "Integration",
     "write_diagnostics_csv",
+    "write_json",
 ]
 
 
@@ -87,14 +90,7 @@ class EulerianState:
     u: VectorField
 
 
-DIAGNOSTIC_COLUMNS = (
-    "t", "l2", "hs", "p_residual", "sdiv_l2", "sdiv_linf",
-    "bkm_integrand", "bkm_integral",
-)
-
-
-@dataclasses.dataclass
-class DiagnosticsRecord:
+class DiagnosticsRecord(NamedTuple):
     t: float
     l2: float
     hs: float
@@ -104,8 +100,8 @@ class DiagnosticsRecord:
     bkm_integrand: float
     bkm_integral: float
 
-    def row(self) -> tuple:
-        return tuple(getattr(self, c) for c in DIAGNOSTIC_COLUMNS)
+
+DIAGNOSTIC_COLUMNS = DiagnosticsRecord._fields
 
 
 def step_count(t_final: float, dt: float) -> int:
@@ -436,7 +432,7 @@ def integrate(u0: VectorField, t_final: float, dt: float,
     for _ in run:
         pass
     if csv_path is not None:
-        write_diagnostics_csv(csv_path, [r.row() for r in run.records])
+        write_diagnostics_csv(csv_path, run.records)
     return run
 
 
@@ -471,3 +467,9 @@ def write_diagnostics_csv(path: str | os.PathLike,
         writer.writerow([str(int(x)) if isinstance(x, (int, np.integer))
                          else repr(float(x)) for x in row])
     _atomic_write(path, buf.getvalue().encode("utf-8"))
+
+
+def write_json(path: str | os.PathLike, payload: dict) -> None:
+    """Atomic write of payload as indented JSON with sorted keys."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _atomic_write(path, text.encode("utf-8"))

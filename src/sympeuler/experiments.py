@@ -17,21 +17,21 @@ a JSON sidecar, and never asserted a priori.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .eulerian import (
     DiscretizationFailure,
     Integration,
-    _atomic_write,
     cfl_timestep,
     dt_for_speed,
     integrate,
     max_speed,
     step_count,
     write_diagnostics_csv,
+    write_json,
 )
 from .fields import ScalarField, VectorField
 from .grids import GridSpec
@@ -337,8 +337,7 @@ class NonuniformConfig:
     cfl: float                  # of every paired solve in run_nonuniform
 
 
-@dataclasses.dataclass
-class NonuniformRow:
+class NonuniformRow(NamedTuple):
     k: int
     input_dist_hs: float
     output_gap_hs: float
@@ -352,20 +351,13 @@ class NonuniformReport:
     rows: list
     constants: dict
 
-    COLUMNS = ("k", "input_dist_hs", "output_gap_hs", "sdiv_gap_hsm1",
-               "separation", "r_k")
+    COLUMNS = NonuniformRow._fields
 
     def write_csv(self, path) -> None:
-        rows = [tuple(getattr(r, c) for c in self.COLUMNS) for r in self.rows]
-        write_diagnostics_csv(path, rows, columns=self.COLUMNS)
+        write_diagnostics_csv(path, self.rows, columns=self.COLUMNS)
 
     def write_json(self, path) -> None:
-        _write_json(path, self.constants)
-
-
-def _write_json(path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _atomic_write(path, text.encode("utf-8"))
+        write_json(path, self.constants)
 
 
 def _candidate_builders(s: float):
@@ -387,10 +379,10 @@ def _candidate_builders(s: float):
 
 def _measure_constants(u_star: VectorField, R: float, s: float, seed: int,
                        w_star: VectorField, delta: VectorField,
-                       dt: float, fine_dt: float) -> dict:
+                       dt: float) -> dict:
     """Empirical analogues of the composition/exponential constant chain
     on the radius-R ball around u_star; exponentials by exp_via_flow at
-    the shared step dt, and at fine_dt for C3."""
+    the shared step dt."""
     grid = u_star.grid
     rng_seed = seed + 17
 
@@ -426,20 +418,16 @@ def _measure_constants(u_star: VectorField, R: float, s: float, seed: int,
         dvel = VectorField(grid, pa.values - pb.values)
         c4 = max(c4, sobolev_norm(dmap, s) / sobolev_norm(dvel, s))
 
-    # C3: second derivative of exp along sampled directions, through the
-    # refined-step evaluator: the integrator's error is even along a
-    # boost, so the second difference keeps its O(dt^4) part
-    center_fine = exp_via_flow(u_star, fine_dt)
-    c3 = 0.0
+    # C3: second derivative of exp along delta. exp is affine along a
+    # constant boost (u(t, x - ct) + c flows to phi + c), so a second
+    # difference along a constant w_star measures only integrator error;
+    # a non-constant w_star would have to be sampled too
     eps = 0.25 * R
-    for h in (w_star, delta):
-        plus = exp_via_flow(VectorField(grid, u_star.values + eps * h.values),
-                            fine_dt)
-        minus = exp_via_flow(VectorField(grid, u_star.values - eps * h.values),
-                             fine_dt)
-        second = (plus.displacement.values + minus.displacement.values
-                  - 2.0 * center_fine.displacement.values) / eps**2
-        c3 = max(c3, sobolev_norm(VectorField(grid, second), s))
+    plus = exp_via_flow(VectorField(grid, u_star.values + eps * delta.values), dt)
+    minus = exp_via_flow(VectorField(grid, u_star.values - eps * delta.values), dt)
+    second = (plus.displacement.values + minus.displacement.values
+              - 2.0 * center_map.displacement.values) / eps**2
+    c3 = sobolev_norm(VectorField(grid, second), s)
 
     # C5: embedding |w(x)| <= C5 ||w||_{H^s}, constants included
     c5 = 0.0
@@ -452,18 +440,17 @@ def _measure_constants(u_star: VectorField, R: float, s: float, seed: int,
 
 
 def build_nonuniform_config(grid: GridSpec | None = None,
-                            probe_grid: GridSpec | None = None,
                             s: float = 3.0, R: float = 0.5, K: int = 6,
                             seed: int = 7, epsilon: float = 0.05,
                             cfl: float = 0.7) -> NonuniformConfig:
-    """Measures m_star, x_star and the constant chain on the probe grid,
-    then assembles the main-grid configuration with the radius sequence
-    r_k = m_star / (8 k C2) and its resolution guards."""
+    """Measures m_star, x_star and the constant chain on the probe grid
+    (half the points per axis, same box), then assembles the main-grid
+    configuration with the radius sequence r_k = m_star / (8 k C2) and its
+    resolution guards."""
     if grid is None:
         grid = GridSpec(n=1, points_per_axis=256, box_length=0.75)
-    if probe_grid is None:
-        probe_grid = GridSpec(n=grid.n, points_per_axis=grid.points_per_axis // 2,
-                              box_length=grid.box_length)
+    probe_grid = GridSpec(n=grid.n, points_per_axis=grid.points_per_axis // 2,
+                          box_length=grid.box_length)
 
     L = grid.box_length
     center = np.full(grid.dim, L / 2.0)
@@ -484,14 +471,13 @@ def build_nonuniform_config(grid: GridSpec | None = None,
     speed = max_speed(u_star_probe) + max(epsilon, 0.5 * R) * max(
         max_speed(f) for f in probe_candidates + [delta])
     probe_dt = dt_for_speed(probe_grid, speed, 1.0, cfl)
-    fine_dt = dt_for_speed(probe_grid, speed, 1.0, 0.5 * cfl)
 
     _, x_star, m_star, idx = find_probe_direction(
         u_star_probe, probe_candidates, epsilon, probe_dt)
     w_star_probe = probe_candidates[idx]
 
     constants = _measure_constants(u_star_probe, R, s, seed, w_star_probe,
-                                   delta, probe_dt, fine_dt)
+                                   delta, probe_dt)
     c3c5 = constants["C3"] * constants["C5"]
     r_used = min(R, m_star / (16.0 * c3c5)) if c3c5 > 0 else R
 

@@ -172,6 +172,10 @@ def test_load_config_errors(tmp_path):
     bad.write_text("a: [1, 2\n")
     with pytest.raises(ConfigError, match="not valid YAML"):
         load_config(bad)
+    for text in ("s: " + "1" * 5000, "s: 2023-02-30"):
+        bad.write_text(text + "\n")   # YAML scalars Python cannot build
+        with pytest.raises(ConfigError, match="not valid YAML"):
+            load_config(bad)
     listy = tmp_path / "list.yaml"
     listy.write_text("- 1\n- 2\n")
     with pytest.raises(ConfigError, match="root must be a mapping"):
@@ -386,11 +390,17 @@ def test_cli_verify_empty_criteria_is_config_error(capsys, selector):
     ({"cutoff_radius": math.inf}, "cutoff_radius"),
     ({"initial": {"kind": "sympl_grad_bump", "center": [math.inf, 0.1]}},
      "initial.center"),
+    ({"s": 10 ** 400}, "s"),
+    ({"time": {"t_final": 10 ** 400, "cfl": 0.5}}, "time.t_final"),
+    ({"initial": {"kind": "sympl_grad_bump", "center": [10 ** 400, 0.1]}},
+     "initial.center"),
 ], ids=["s-inf", "s-nan", "box_length-inf", "t_final-inf", "norm-inf",
-        "cutoff_radius-inf", "center-inf"])
+        "cutoff_radius-inf", "center-inf", "s-int", "t_final-int",
+        "center-int"])
 def test_cli_non_finite_numbers_are_config_errors(tmp_path, capsys, raw,
                                                   path):
-    # YAML reads .inf and .nan as floats; no key or list entry takes them
+    # YAML reads .inf and .nan as floats; no key or list entry takes them,
+    # nor an integer too long for a float, which YAML keeps exact
     cfg = write_cfg(tmp_path, {"grid": {"points_per_axis": 16},
                                "time": {"cfl": 0.5}, **raw})
     out = tmp_path / "out"

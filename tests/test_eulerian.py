@@ -337,7 +337,7 @@ def test_csv_round_trip(tmp_path, grid32):
     assert tuple(rows[0]) == DIAGNOSTIC_COLUMNS
     assert len(rows) == 1 + len(res.records)
     for row, rec in zip(rows[1:], res.records):
-        for text, val in zip(row, rec.row()):
+        for text, val in zip(row, rec):
             assert float(text) == float(val)   # repr round-trips exactly
 
 
@@ -345,7 +345,7 @@ def test_csv_write_helper(tmp_path):
     from sympeuler.eulerian import DiagnosticsRecord
     rec = DiagnosticsRecord(0.0, 1.0, 2.0, 3e-16, 0.5, 0.25, 0.1, 0.0)
     path = tmp_path / "one.csv"
-    write_diagnostics_csv(path, [rec.row()])
+    write_diagnostics_csv(path, [rec])
     text = path.read_text()
     assert text.splitlines()[0] == ",".join(DIAGNOSTIC_COLUMNS)
     assert "3e-16" in text
