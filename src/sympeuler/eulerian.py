@@ -9,21 +9,21 @@ and the BKM integrand/integral as a health check.
 
 The right-hand side runs through one skew-first real-FFT kernel
 (fast_rhs; fast_force is its B(u)-only entry, used by the geodesic
-equations). It forms only the upper entries of omega^T X - X^T omega,
-using that omega is a signed permutation: (omega^T X)_ij = sigma_i
-X_{p(i), j} with p(i) = i^1, sigma_i = -1 for even i and +1 for odd i.
-The compressibility-defect term is skipped when the cutoff ball holds no
-retained mode besides k = 0. The compositional chain in operators.py
+equations), half spectrum in and out. It forms only the upper entries of
+omega^T X - X^T omega, using that omega is a signed permutation:
+(omega^T X)_ij = sigma_i X_{p(i), j} with p(i) = i^1, sigma_i = -1 for
+even i and +1 for odd i. The compositional chain in operators.py
 (constraint_force, advection_term, eulerian_rhs) is the reference oracle
-for the kernel and for the diagnostics record. The kernel takes its
-half-lattice symbols (derivatives, 2/3-rule mask, inverse Laplacian,
-frequency ball) from spectral.py, as the chain does, so both keep the
-same modes on every shell.
+for the kernel and for the diagnostics record; both take their
+half-lattice symbols from spectral.py, so they keep the same modes on
+every shell.
 
 rk4 is the one RK4 step of the package: the Eulerian run, the geodesic
-integrator and the flow map all call it. The run, Integration, yields u
-after each step, so lagrangian.py steps the flow map as the samples
-arrive; integrate drains it.
+integrator and the flow map all call it. The run, Integration, steps u
+on the half lattice and yields it after each step, so lagrangian.py
+steps the flow map as the samples arrive; integrate drains it. Values
+are transformed only where read: flow-map builds, traced points and
+snapshots.
 _atomic_write (temp file plus rename) is the one writer behind every
 output file: the diagnostics CSV, snapshots and JSON sidecars
 (write_json).
@@ -51,10 +51,10 @@ from .spectral import (
     _half_derivative_symbols,
     _half_inverse_laplacian,
     _half_shape,
-    _sobolev_weights,
+    _sobolev_sq,
     ball_cutoff_mask,
+    dealias_band,
     dealias_mask,
-    lebesgue_norms,
 )
 
 __all__ = [
@@ -156,14 +156,15 @@ def _work_buffers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     spec (complex, half lattice) and phys hold u in rows [0, d), J in rows
     [d, d + d^2) (row d + d*i + j is J_ij = d_j u_i) and grad div u in the
     last d rows; prod holds (u.grad)u, then the strain and the defect skew
-    entries. Reusing them pays: a fresh multi-MiB FFT output costs about
-    as much as the transform itself.
+    entries, and one scratch row. Reusing them pays: a fresh multi-MiB
+    FFT output costs about as much as the transform itself, and even a
+    temporary plane costs more than the arithmetic that fills it.
     """
     d = grid.dim
     rows = 2 * d + d * d
     return (np.empty((rows,) + _half_shape(grid), dtype=complex),
             np.empty((rows,) + grid.shape),
-            np.empty((d * d,) + grid.shape))
+            np.empty((d * d + 1,) + grid.shape))
 
 
 class _SkewKernel:
@@ -176,28 +177,36 @@ class _SkewKernel:
     omega is a signed permutation, (omega^T X)_ij = sigma_i X_{p(i), j}
     with p(i) = i^1, so only the d(d-1)/2 upper entries of S are formed,
     in physical space, and the final omega contraction is a sign and an
-    index. Per call: one rfftn of u, one batched inverse transform of u, J
-    and (with the defect) grad div u, one batched rfftn of the advection
-    and skew entries, and one irfftn of the result. The defect term is
-    skipped when chi * Delta^{-1} vanishes on every retained mode (only
-    k = 0 lies in the ball, as on small boxes). The compositional chain in
-    operators.py is the reference these values are tested against.
+    index. Per call, from the input half spectrum: one batched inverse
+    transform of u, J and (with the defect) grad div u, and one batched
+    rfftn of the advection and skew entries, whose masked combination is
+    the output spectrum; 12 planes in 2D with the defect. Only the first
+    dealias_band(N) + 1 columns of the last axis hold retained modes, and
+    the full-axis passes of both batches skip the rest (86 of 129 run at
+    N=256). The defect term is skipped when chi * Delta^{-1} vanishes on
+    every retained mode (only k = 0 lies in the ball, as on small boxes).
+    The compositional chain in operators.py is the reference these values
+    are tested against.
     """
 
     def __init__(self, grid: GridSpec, cutoff_radius: float):
         self.grid = grid
         d = grid.dim
         self.axes = tuple(range(-d, 0))
-        self.deriv = _half_derivative_symbols(grid)
-        mask = dealias_mask(grid)
+        # every symbol below is cut to the retained columns
+        self.cols = c = dealias_band(grid.points_per_axis) + 1
+        self.deriv = [D[..., :c] for D in _half_derivative_symbols(grid)]
+        mask = dealias_mask(grid)[..., :c].astype(float)
         self.mask = mask
-        self.neg_mask = -mask.astype(float)
-        inv_lap = _half_inverse_laplacian(grid)
-        chi = ball_cutoff_mask(grid, cutoff_radius)
+        self.neg_mask = -mask
+        inv_lap = _half_inverse_laplacian(grid)[..., :c]
+        chi = ball_cutoff_mask(grid, cutoff_radius)[..., :c]
         self.pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
         index = {pair: e for e, pair in enumerate(self.pairs)}
         # B_j = sigma_j Delta^{-1} div_{p(j)} S, div_k S = sum_i d_i S_ik,
-        # S_ik = -S_ki; inv_lap is the symbol -1/|xi|^2 of Delta^{-1}
+        # S_ik = -S_ki; inv_lap is the symbol -1/|xi|^2 of Delta^{-1}. The
+        # entry e = (a, b) is formed as S_ab / sigma_a (see _skew), so its
+        # sigma_a moves into the coefficient
         self.coef = []
         for j in range(d):
             q = _partner(j)
@@ -205,66 +214,81 @@ class _SkewKernel:
             for i in range(d):
                 if i == q:
                     continue
-                e, sign = ((index[(i, q)], 1.0) if i < q
-                           else (index[(q, i)], -1.0))
+                e, sign = ((index[(i, q)], _sign(i)) if i < q
+                           else (index[(q, i)], -_sign(q)))
                 terms.append(
                     (e, _sign(j) * sign * inv_lap * mask * self.deriv[i]))
             self.coef.append(terms)
         self.defect = bool(np.any(chi * mask * inv_lap))
         self.chi = chi if self.defect else None
 
-    def _skew(self, out: np.ndarray, entry) -> None:
-        """Upper entries of omega^T X - X^T omega, given X_ab = entry(a, b)."""
+    def _skew(self, out: np.ndarray, scratch: np.ndarray, entry) -> None:
+        """Upper entries of omega^T X - X^T omega, the (i, j) one divided
+        by sigma_i: X_{p(i) j} - sigma_i sigma_j X_{p(j) i}, where
+        entry(a, b, o) writes X_ab into o. No plane is allocated."""
         for e, (i, j) in enumerate(self.pairs):
-            out[e] = (_sign(i) * entry(_partner(i), j)
-                      - _sign(j) * entry(_partner(j), i))
+            entry(_partner(i), j, out[e])
+            entry(_partner(j), i, scratch)
+            combine = np.subtract if _sign(i) == _sign(j) else np.add
+            combine(out[e], scratch, out=out[e])
 
-    def __call__(self, values: np.ndarray, advect: bool) -> np.ndarray:
-        grid, d, n_pairs = self.grid, self.grid.dim, len(self.pairs)
+    def __call__(self, u_hat: np.ndarray, advect: bool) -> np.ndarray:
+        grid, d, c = self.grid, self.grid.dim, self.cols
+        n_pairs = len(self.pairs)
         spec, phys, prod = _work_buffers(grid)
         n_inv = d + d * d + (d if self.defect else 0)
         spec, phys = spec[:n_inv], phys[:n_inv]
-        hat = np.fft.rfftn(values, axes=self.axes, out=spec[:d])
-        hat *= self.mask
+        # the columns past c stay zero through the full-axis passes
+        spec[..., c:] = 0.0
+        kept = spec[..., :c]
+        hat = np.multiply(u_hat[..., :c], self.mask, out=kept[:d])
         for j in range(d):
-            np.multiply(hat, self.deriv[j], out=spec[d + j:d + d * d:d])
+            np.multiply(hat, self.deriv[j], out=kept[d + j:d + d * d:d])
         if self.defect:
-            div_hat = sum(self.deriv[k] * hat[k] for k in range(d))
-            for j in range(d):
-                np.multiply(self.deriv[j], div_hat, out=spec[d + d * d + j])
+            # div u is the trace of J, whose spectrum is already formed;
+            # it sits in the row of d_0 div u, which is written last
+            div_hat = np.sum(kept[d:d + d * d:d + 1], axis=0,
+                             out=kept[d + d * d])
+            for j in reversed(range(d)):
+                np.multiply(self.deriv[j], div_hat, out=kept[d + d * d + j])
         # the inverse batch in place: irfftn would allocate its complex
         # intermediate afresh on every call
-        np.fft.ifftn(spec, axes=self.axes[:-1], out=spec)
+        np.fft.ifftn(kept, axes=self.axes[:-1], out=kept)
         np.fft.irfft(spec, n=grid.points_per_axis, axis=-1, out=phys)
         u = phys[:d]
         J = phys[d:d + d * d].reshape((d, d) + grid.shape)
 
+        scratch = prod[-1]
         prod = prod[:d + n_pairs * (2 if self.defect else 1)]
         if advect:
             for i in range(d):
                 np.einsum("j...,j...->...", u, J[i], out=prod[i])
-        self._skew(prod[d:d + n_pairs],
-                   lambda a, b: np.einsum("k...,k...->...", J[a], J[:, b]))
+        self._skew(prod[d:d + n_pairs], scratch, lambda a, b, o: np.einsum(
+            "k...,k...->...", J[a], J[:, b], out=o))
         if self.defect:
             g = phys[d + d * d:]
-            self._skew(prod[d + n_pairs:], lambda a, b: u[a] * g[b])
-        # spec is free again: it takes the forward spectra, and the
-        # advection rows become the output spectrum
-        prod_hat = spec[:len(prod)]
+            self._skew(prod[d + n_pairs:], scratch,
+                       lambda a, b, o: np.multiply(u[a], g[b], out=o))
+        # spec is free again and takes the forward batch: rfft along the
+        # last axis, then the full-axis passes on the retained columns
         first = 0 if advect else d
-        np.fft.rfftn(prod[first:], axes=self.axes, out=prod_hat[first:])
+        np.fft.rfft(prod[first:], axis=-1, out=spec[first:len(prod)])
+        prod_hat = spec[:len(prod), ..., :c]
+        np.fft.fftn(prod_hat[first:], axes=self.axes[:-1],
+                    out=prod_hat[first:])
         skew_hat = prod_hat[d:d + n_pairs]
         if self.defect:
-            skew_hat += self.chi * prod_hat[d + n_pairs:]
-        out = prod_hat[:d]
+            defect_hat = prod_hat[d + n_pairs:]
+            skew_hat += np.multiply(self.chi, defect_hat, out=defect_hat)
+        # a fresh output: the work buffers are overwritten by the next call
+        out = np.zeros((d,) + spec.shape[1:], dtype=complex)
+        term = spec[len(prod), ..., :c]
         for j in range(d):
             if advect:
-                out[j] *= self.neg_mask
-            else:
-                out[j] = 0.0
-            for e, c in self.coef[j]:
-                out[j] += c * skew_hat[e]
-        return np.fft.irfftn(out, s=grid.shape, axes=self.axes)
+                np.multiply(prod_hat[j], self.neg_mask, out=out[j, ..., :c])
+            for e, coef in self.coef[j]:
+                out[j, ..., :c] += np.multiply(coef, skew_hat[e], out=term)
+        return out
 
 
 @functools.lru_cache(maxsize=4)
@@ -273,15 +297,16 @@ def _kernel(grid: GridSpec, cutoff_radius: float) -> _SkewKernel:
 
 
 def fast_rhs(u: VectorField, cutoff_radius: float = 1.0) -> VectorField:
-    """eulerian_rhs through the skew-first spectral kernel."""
+    """eulerian_rhs through the skew-first spectral kernel, from u.rhat
+    to a field built from its half spectrum (values only when read)."""
     kernel = _kernel(u.grid, float(cutoff_radius))
-    return VectorField(u.grid, kernel(u.values, advect=True))
+    return VectorField.from_rspectral(u.grid, kernel(u.rhat, advect=True))
 
 
 def fast_force(u: VectorField, cutoff_radius: float = 1.0) -> VectorField:
-    """constraint_force through the skew-first spectral kernel."""
+    """constraint_force through the same kernel, spectrum in and out."""
     kernel = _kernel(u.grid, float(cutoff_radius))
-    return VectorField(u.grid, kernel(u.values, advect=False))
+    return VectorField.from_rspectral(u.grid, kernel(u.rhat, advect=False))
 
 
 def diagnostics(state: EulerianState, s: float,
@@ -289,39 +314,44 @@ def diagnostics(state: EulerianState, s: float,
     """Builds a record; the BKM integral is accumulated by trapezoid
     between successive records, from zero at the first (prev None).
 
-    One rfftn of u and one batched inverse transform of its Jacobian feed
-    every column: H^s by the half-spectrum Parseval sum, and the
-    deformation residual, the symplectic divergence and |grad u|_inf from
-    J. Records see un-dealiased fields, so the derivative symbols are the
+    Reads the state's half spectrum u.rhat: L^2 and H^s are Parseval sums
+    on it, and one batched inverse transform of its Jacobian feeds the
+    deformation residual, the symplectic divergence and |grad u|_inf.
+    Records see un-dealiased fields, so the derivative symbols are the
     Nyquist-zeroed ones of spectral.py, as in operators.jacobian.
     """
     u = state.u
     grid = u.grid
     d = grid.dim
-    axes = tuple(range(-d, 0))
-    l2, _ = lebesgue_norms(u)
-    spec, phys, _ = _work_buffers(grid)
-    hat = np.fft.rfftn(u.values, axes=axes, out=spec[:d])
-    hs = math.sqrt(float(np.sum(_sobolev_weights(grid, s)
-                                * (hat.real**2 + hat.imag**2))))
+    hat = u.rhat
+    l2 = math.sqrt(_sobolev_sq(grid, hat, 0.0))
+    hs = math.sqrt(_sobolev_sq(grid, hat, s))
+    spec, phys, work = _work_buffers(grid)
     deriv = _half_derivative_symbols(grid)
     jac_hat = spec[d:d + d * d]
     for j in range(d):
         np.multiply(hat, deriv[j], out=jac_hat[j::d])
-    np.fft.ifftn(jac_hat, axes=axes[:-1], out=jac_hat)
+    np.fft.ifftn(jac_hat, axes=tuple(range(-d, -1)), out=jac_hat)
     J = np.fft.irfft(jac_hat, n=grid.points_per_axis, axis=-1,
                      out=phys[d:d + d * d]).reshape((d, d) + grid.shape)
-    # P = omega^T J - J^T omega with (omega^T J)_ij = sigma_i J_{p(i), j};
-    # both triangles count in the Frobenius norm
-    p_sq = sum(float(np.sum((_sign(i) * J[_partner(i), j]
-                             - _sign(j) * J[_partner(j), i]) ** 2))
-               for i in range(d) for j in range(i + 1, d))
+    # P = omega^T J - J^T omega, whose (i, j) entry is sigma_i (J_{p(i) j}
+    # - sigma_i sigma_j J_{p(j) i}); both triangles count in the Frobenius
+    # norm. The planes go to the kernel's product rows, free between calls
+    p_sq = 0.0
+    for i in range(d):
+        for j in range(i + 1, d):
+            combine = np.subtract if _sign(i) == _sign(j) else np.add
+            entry = combine(J[_partner(i), j], J[_partner(j), i], out=work[0])
+            p_sq += float(np.vdot(entry, entry))
     p_res = math.sqrt(2.0 * p_sq * grid.cell_volume)
-    sdiv = sum(J[2 * a, 2 * a + 1] - J[2 * a + 1, 2 * a]
-               for a in range(grid.n))
-    sdiv_l2 = math.sqrt(float(np.sum(sdiv**2)) * grid.cell_volume)
-    sdiv_linf = float(np.abs(sdiv).max())
-    integrand = float(np.sqrt(np.max(np.einsum("ij...,ij...->...", J, J))))
+    sdiv = np.subtract(J[0, 1], J[1, 0], out=work[1])
+    for a in range(1, grid.n):
+        sdiv += J[2 * a, 2 * a + 1]
+        sdiv -= J[2 * a + 1, 2 * a]
+    sdiv_l2 = math.sqrt(float(np.vdot(sdiv, sdiv)) * grid.cell_volume)
+    sdiv_linf = float(max(sdiv.max(), -sdiv.min()))
+    integrand = math.sqrt(float(
+        np.einsum("ij...,ij...->...", J, J, out=work[0]).max()))
     if prev is None:
         integral = 0.0
     else:
@@ -357,9 +387,11 @@ def rk4(rhs: Callable[[float, tuple], tuple], y: tuple, dt: float) -> tuple:
 class Integration:
     """The Eulerian run from u0 to t_final, as an iterable.
 
-    Iterating yields u at t = 0, dt, ..., t_final, each after its step's
-    finite check, projection, trace update, diagnostics and H^s guard, and
-    fills in state, records (see DIAGNOSTIC_COLUMNS) and trace. Nothing
+    rk4 steps the half spectrum u.rhat, each stage through fast_rhs, so a
+    step runs only the kernel's transforms. Iterating yields u at t = 0,
+    dt, ..., t_final, each after its step's finite check, projection,
+    trace update, diagnostics and H^s guard (a Parseval sum, every step),
+    and fills in state, records (see DIAGNOSTIC_COLUMNS) and trace. Nothing
     keeps the history. trace_points (dim, M) move with the RK4 stage
     velocities, sampled by local Lagrange stencils; trace (steps+1, dim,
     M) holds their unwrapped (covering-space) positions.
@@ -381,22 +413,23 @@ class Integration:
     def __iter__(self) -> Iterator[VectorField]:
         grid, dt = self.u0.grid, self.dt
         steps = step_count(self.t_final, dt)
-        _check_finite(0.0, (self.u0.values,))
+        _check_finite(0.0, (self.u0.rhat,))
         self.state = EulerianState(0.0, self.u0)
         self.records = [diagnostics(self.state, self.s)]
-        hs_initial = max(self.records[0].hs, 1e-300)
+        hs_limit = 1e6 * max(self.records[0].hs, 1e-300)
         tracing = self.trace_points is not None
-        y = (self.u0.values,)
+        y = (self.u0.rhat,)
         if tracing:
             y += (np.array(self.trace_points, dtype=float),)
             self.trace = np.empty((steps + 1,) + y[1].shape)
             self.trace[0] = y[1]
 
         def rhs(c, y):
-            k = (fast_rhs(VectorField(grid, y[0]), self.cutoff_radius).values,)
+            u = VectorField.from_rspectral(grid, y[0])
+            k = (fast_rhs(u, self.cutoff_radius).rhat,)
             if tracing:
                 # positions move through the same stage fields (coupled RK4)
-                k += (local_lagrange_sample(grid, y[0],
+                k += (local_lagrange_sample(grid, u.values,
                                             y[1] % grid.box_length),)
             return k
 
@@ -404,19 +437,19 @@ class Integration:
         for step in range(1, steps + 1):
             y = rk4(rhs, y, dt)
             _check_finite(step * dt, y)
-            new_u = VectorField(grid, y[0])
+            new_u = VectorField.from_rspectral(grid, y[0])
             if self.project_every and step % self.project_every == 0:
                 new_u = project_symplectic(new_u)
-                y = (new_u.values,) + y[1:]
+                y = (new_u.rhat,) + y[1:]
             if tracing:
                 self.trace[step] = y[1]
             self.state = EulerianState(step * dt, new_u)
             if step % self.diag_every == 0 or step == steps:
-                rec = diagnostics(self.state, self.s, self.records[-1])
-                self.records.append(rec)
-                if rec.hs > 1e6 * hs_initial:
-                    raise DiscretizationFailure(
-                        self.state.t, "H^s norm exceeded 1e6 x initial")
+                self.records.append(
+                    diagnostics(self.state, self.s, self.records[-1]))
+            if math.sqrt(_sobolev_sq(grid, y[0], self.s)) > hs_limit:
+                raise DiscretizationFailure(
+                    self.state.t, "H^s norm exceeded 1e6 x initial")
             yield new_u
 
 

@@ -292,22 +292,23 @@ def find_probe_direction(u_star: VectorField, candidates, epsilon: float,
     exponential by exp_via_flow at the shared step dt; picks the candidate
     and point with the largest response.
 
-    Returns (w_star, x_star, m_star, index). The responses compare only
-    if the candidates share one H^s norm, which is not checked here: the
-    one caller, build_nonuniform_config, takes unit-H^s candidates from
+    Returns (w_star, x_star, m_star, index). Responses within a relative
+    1e-9 of the largest tie, and the first tied candidate wins, so
+    rounding cannot pick the direction. The responses compare only if the
+    candidates share one H^s norm, which is not checked here: the one
+    caller, build_nonuniform_config, takes unit-H^s candidates from
     _candidate_builders.
     """
     grid = u_star.grid
-    best = None
-    for idx, w in enumerate(candidates):
+    mags = []
+    for w in candidates:
         plus = exp_via_flow(VectorField(grid, u_star.values + epsilon * w.values), dt)
         minus = exp_via_flow(VectorField(grid, u_star.values - epsilon * w.values), dt)
         delta = (plus.displacement.values - minus.displacement.values) / (2 * epsilon)
-        mag = _pointwise_norm(delta)
-        m_here = float(mag.max())
-        if best is None or m_here > best[0]:
-            best = (m_here, idx, mag)
-    m_star, idx, mag = best
+        mags.append(_pointwise_norm(delta))
+    m = [float(mag.max()) for mag in mags]
+    idx = next(i for i, mi in enumerate(m) if mi >= max(m) * (1.0 - 1e-9))
+    m_star, mag = m[idx], mags[idx]
     if m_star < 1e-6:
         raise ExperimentFailure("all candidates gave derivative below 1e-6; "
                                 "pick a different base point")

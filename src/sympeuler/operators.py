@@ -281,7 +281,8 @@ def project_symplectic(u: VectorField) -> VectorField:
     correction = inverse_laplacian(
         omega_deformation_adjoint(omega_deformation(u))
     )
-    return VectorField(u.grid, u.values + 0.5 * correction.values)
+    return VectorField.from_rspectral(u.grid,
+                                      u.rhat + 0.5 * correction.rhat)
 
 
 # ---------------------------------------------------------------------------

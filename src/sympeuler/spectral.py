@@ -229,6 +229,13 @@ def _sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
     return weights * (grid.box_volume / grid.num_points**2)
 
 
+def _sobolev_sq(grid: GridSpec, hat: np.ndarray, s: float) -> float:
+    """Squared H^s norm of the components whose half spectra stack in hat:
+    one weighted sum, no transform."""
+    return float(np.sum(_sobolev_weights(grid, s)
+                        * (hat.real**2 + hat.imag**2)))
+
+
 def sobolev_norm(u, s: float) -> float:
     """H^s norm via the lattice Parseval sum with weights (1 + |xi|^2)^s.
 
@@ -238,9 +245,7 @@ def sobolev_norm(u, s: float) -> float:
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
-    hat = u.rhat
-    total = float(np.sum(_sobolev_weights(u.grid, s)
-                         * (hat.real**2 + hat.imag**2)))
+    total = _sobolev_sq(u.grid, u.rhat, s)
     if isinstance(u, SkewMatrixField):
         total *= 2.0
     return math.sqrt(total)

@@ -35,10 +35,12 @@ from sympeuler.initial_conditions import (
     random_vector,
     steady_shear,
 )
+from sympeuler.interp import local_lagrange_sample
 from sympeuler.operators import (
     constraint_force,
     jacobian,
     omega_deformation,
+    project_symplectic,
     symplectic_divergence,
 )
 from sympeuler.spectral import lebesgue_norms, sobolev_norm
@@ -46,6 +48,29 @@ from sympeuler.spectral import lebesgue_norms, sobolev_norm
 
 def scaled(u, factor):
     return VectorField(u.grid, factor * u.values)
+
+
+def physical_loop(u0, t_final, dt, project_every=0, trace_points=None):
+    """The Eulerian run on physical values, rk4 over fast_rhs(...).values:
+    the (u, positions) tuple after every step, u0 first."""
+    grid = u0.grid
+    y = (u0.values,)
+    if trace_points is not None:
+        y += (np.array(trace_points, dtype=float),)
+
+    def rhs(c, y):
+        k = (fast_rhs(VectorField(grid, y[0])).values,)
+        if len(y) > 1:
+            k += (local_lagrange_sample(grid, y[0], y[1] % grid.box_length),)
+        return k
+
+    states = [y]
+    for step in range(1, step_count(t_final, dt) + 1):
+        y = rk4(rhs, y, dt)
+        if project_every and step % project_every == 0:
+            y = (project_symplectic(VectorField(grid, y[0])).values,) + y[1:]
+        states.append(y)
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +150,17 @@ def test_kernel_results_survive_later_calls(grid64):
     assert np.array_equal(fast_rhs(u).values, kept)
 
 
+def test_kernel_spectrum_does_not_alias_work_buffers(grid64):
+    # the result is a spectrum whose values are first read here, after
+    # later kernel and diagnostics calls have reused the work buffers
+    u, w = random_vector(grid64, seed=46), random_symplectic(grid64, seed=47)
+    first = fast_rhs(u)
+    fast_rhs(w)
+    fast_force(w, 2.0)
+    diagnostics(EulerianState(0.0, w), 3.0)
+    assert np.array_equal(first.values, fast_rhs(u).values)
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 
@@ -148,16 +184,22 @@ def reference_record(u, s):
                                            box_length=0.75),
                                   GridSpec(n=2, points_per_axis=16)],
                          ids=["2d", "2d-small-box", "4d"])
-@pytest.mark.parametrize("kind", ["generic", "symplectic", "rough"])
+@pytest.mark.parametrize("kind", ["generic", "symplectic", "rough",
+                                  "spectral"])
 def test_diagnostics_match_operators(grid, kind):
     if kind == "rough":
         # white noise: records see un-dealiased fields, Nyquist modes included
         rng = np.random.default_rng(45)
         u = VectorField(grid, rng.standard_normal((grid.dim,) + grid.shape))
     else:
-        draw = random_vector if kind == "generic" else random_symplectic
+        draw = random_symplectic if kind == "symplectic" else random_vector
         u = draw(grid, seed=45)
+    if kind == "spectral":
+        # a field known by its spectrum only, as the run's states are
+        u = VectorField.from_rspectral(grid, u.rhat)
     rec = diagnostics(EulerianState(0.0, u), 3.0)
+    if kind == "spectral":
+        assert "values" not in vars(u)
     # on symplectic data P(u) is rounding noise in both computations
     floor = 1e-12 * sobolev_norm(u, 1.0) if kind == "symplectic" else 0.0
     for name, want in reference_record(u, 3.0).items():
@@ -238,6 +280,19 @@ def test_rk4_local_order(grid64):
     assert all(4.5 < p < 5.5 for p in orders)
 
 
+def test_global_self_convergence(grid64):
+    # the error at T falls 2^4-fold per halving of dt: successive
+    # differences of the T = 0.5 states at 8, 16, 32 and 64 steps
+    # (measured ratios 16.85 and 16.70)
+    u0 = random_symplectic(grid64, seed=50, decay=1.0)
+    u0 = scaled(u0, 1.0 / np.max(np.abs(u0.values)))
+    ends = [integrate(u0, 0.5, 0.5 / n, diag_every=10**9).state.u.values
+            for n in (8, 16, 32, 64)]
+    diffs = [np.max(np.abs(a - b)) for a, b in zip(ends, ends[1:])]
+    ratios = [a / b for a, b in zip(diffs, diffs[1:])]
+    assert all(15.0 < r < 18.0 for r in ratios), ratios
+
+
 # ---------------------------------------------------------------------------
 # integrate
 
@@ -315,6 +370,54 @@ def test_norm_blowup_aborts(grid32):
     u0 = scaled(random_symplectic(grid32, seed=55), 1e4)
     with pytest.raises(DiscretizationFailure):
         integrate(u0, 10.0, 0.5)
+
+
+def test_hs_guard_runs_every_step(grid32):
+    # a step far too large for the amplitude: H^s is 143x initial after
+    # two steps and 2e28x after three, still finite. With no diagnostics
+    # due, the guard must fire at that first step past 1e6 x initial, not
+    # at the NaN after it
+    u0 = random_symplectic(grid32, seed=55)
+    u0 = scaled(u0, 1.5 / np.max(np.abs(u0.values)))
+    hs = [sobolev_norm(VectorField(grid32, y[0]), 3.0)
+          for y in physical_loop(u0, 1.5, 0.5)]
+    first = next(i for i, h in enumerate(hs) if h > 1e6 * hs[0])
+    assert 1 < first and np.isfinite(hs[first])
+    with pytest.raises(DiscretizationFailure, match="H\\^s") as err:
+        integrate(u0, 10.0, 0.5, diag_every=10**9)
+    assert err.value.t == first * 0.5
+
+
+@pytest.mark.parametrize("grid", [GridSpec(n=1, points_per_axis=64),
+                                  GridSpec(n=1, points_per_axis=32,
+                                           box_length=0.75),
+                                  GridSpec(n=2, points_per_axis=16)],
+                         ids=["2d", "2d-small-box", "4d"])
+@pytest.mark.parametrize("option", ["plain", "trace", "project"])
+def test_integration_matches_physical_loop(grid, option):
+    # the run steps the half spectrum; stepping the values instead must
+    # agree to rounding, the traced positions included
+    draw = random_vector if option == "project" else random_symplectic
+    u0 = draw(grid, seed=58, decay=1.0)
+    u0 = scaled(u0, 0.5 / np.max(np.abs(u0.values)))
+    dt = cfl_timestep(u0, 1.0, 0.5)
+    t_final = 4 * dt
+    kwargs = {}
+    if option == "trace":
+        kwargs["trace_points"] = np.random.default_rng(59).uniform(
+            0.0, grid.box_length, (grid.dim, 5))
+    if option == "project":
+        kwargs["project_every"] = 1
+    run = Integration(u0, t_final, dt, diag_every=10**9, **kwargs)
+    fields = [u.values for u in run]
+    want = physical_loop(u0, t_final, dt, **kwargs)
+    assert len(fields) == len(want) == 5
+    for got, y in zip(fields, want):
+        assert rel_err(got, y[0]) < 1e-14
+    if option == "trace":
+        assert rel_err(run.trace, np.stack([y[1] for y in want])) < 1e-14
+    # the run moved: agreement is not that of two unchanged fields
+    assert rel_err(fields[-1], fields[0]) > 1e-3
 
 
 def test_project_every_enforces_constraint(grid64):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
+from sympeuler import experiments
 from sympeuler.eulerian import DiscretizationFailure, cfl_timestep, integrate
 from sympeuler.experiments import (
     NonuniformReport,
@@ -33,6 +34,7 @@ from sympeuler.initial_conditions import (
     scale_to_sobolev,
     steady_shear,
 )
+from sympeuler.lagrangian import DiffeoMap
 from sympeuler.operators import symplectic_divergence
 from sympeuler.spectral import (
     _frequencies,
@@ -271,6 +273,24 @@ def test_probe_direction_at_rest_recovers_candidate_max():
     assert m_star == pytest.approx(float(mag.max()), rel=1e-10)
     # constant direction ties everywhere; tie-break lands on the center
     assert np.allclose(x_star, BOX.box_length / 2.0)
+
+
+@pytest.mark.parametrize("lead, want", [(0.0, 0), (2e-10, 0), (1e-6, 1)],
+                         ids=["equal", "within-tie", "ahead"])
+def test_probe_direction_tie_rule(monkeypatch, lead, want):
+    # exp replaced by the identity plus the velocity: a candidate's
+    # response is its own max speed, so the second one leads by `lead`;
+    # a lead under the relative tie of 1e-9 leaves the first candidate
+    monkeypatch.setattr(experiments, "exp_via_flow",
+                        lambda u, dt: DiffeoMap(u.grid, u))
+    base = unit_constant(BOX)
+    cands = [base, VectorField(BOX, (1.0 + lead) * base.values[::-1])]
+    z = VectorField(BOX, np.zeros((2,) + BOX.shape))
+    w, _, m_star, idx = find_probe_direction(z, cands, 0.05, dt=0.05)
+    assert idx == want and w is cands[want]
+    speed = float(np.max(np.abs(base.values)))
+    assert m_star == pytest.approx(speed * (1.0 + (lead if want else 0.0)),
+                                   rel=1e-13)
 
 
 def test_probe_direction_translation_equivariance():

@@ -408,7 +408,7 @@ def test_streamed_flow_raises_the_run_guard(monkeypatch):
         calls.append(1)
         out = real(u, cutoff_radius)
         if len(calls) > 8:
-            out.values[0, 0, 0] = np.nan
+            out.rhat[0, 0, 0] = np.nan  # the run steps the spectrum
         return out
 
     monkeypatch.setattr(eulerian, "fast_rhs", poisoned)

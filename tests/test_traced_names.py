@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sympeuler.eulerian as eulerian
 import sympeuler.lagrangian as lagrangian
 from sympeuler.fields import VectorField
 from sympeuler.grids import GridSpec
@@ -112,3 +113,33 @@ def test_flow_from_velocity_interpolator_counts(monkeypatch, steps, builds,
         samples = (v for v in samples)
     lagrangian.flow_from_velocity(samples, 0.01)
     assert counts == {"build": builds, "eval": evaluations}
+
+
+def test_integrate_steps_through_module_attributes(monkeypatch):
+    # the tracer's eulerian.fast_rhs span counts only calls looked up on
+    # the module, four per RK4 step, and its fft spans only transforms
+    # called as numpy.fft attributes: the kernel's four per stage
+    tracer = _load("tracer")
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(eulerian, "fast_rhs",
+                        counting("fast_rhs", eulerian.fast_rhs))
+    for name in tracer.FFT_FUNCTIONS:
+        monkeypatch.setattr(np.fft, name, counting("fft", getattr(np.fft, name)))
+    grid = GridSpec(n=1, points_per_axis=32)
+    u = 0.1 * random_symplectic(grid, seed=3, decay=1.0)
+    counts = []
+    for steps in (3, 4):
+        calls.clear()
+        # a fresh u0: its cached spectrum would save the second run a pass
+        u0 = VectorField(grid, u.values)
+        eulerian.integrate(u0, 0.05 * steps, 0.05, diag_every=10**9)
+        counts.append((calls.count("fast_rhs"), calls.count("fft")))
+    assert [c for c, _ in counts] == [4 * 3, 4 * 4]
+    assert counts[1][1] - counts[0][1] == 4 * 4
