@@ -3,13 +3,17 @@
 A map is stored as identity-plus-displacement; composition and inversion
 work through periodic interpolation (spectral upsampling, then quintic
 B-splines). The geodesic vector field on (map, velocity) pairs is
-(v, B(v o phi^{-1}) o phi). It, and the reconstruction of a flow map
-from Eulerian velocity samples, step through eulerian.rk4, the stepper
-of the Eulerian integrator, so the two formulations are integrated by the
-same arithmetic. The reconstruction takes the samples as an Eulerian run
-yields them, keeping at most four, and steps at twice the sample
-spacing: the sample between two others is the exact RK4 midpoint, and
-only an odd last interval needs a midpoint interpolated in time.
+(v, B(v o phi^{-1}) o phi). The solve carries phi^{-1} as a third
+component psi, transported by psi_t + (D psi) u = 0, instead of
+inverting phi at every stage; invert serves the callers that need the
+inverse of a finished map. The geodesic field, and the reconstruction
+of a flow map from Eulerian velocity samples, step through eulerian.rk4,
+the stepper of the Eulerian integrator, so the two formulations are
+integrated by the same arithmetic. The reconstruction takes the samples
+as an Eulerian run yields them, keeping the values of at most four, and
+steps at twice the sample spacing: the sample between two others is the
+exact RK4 midpoint, and only an odd last interval needs a midpoint
+interpolated in time.
 """
 
 from __future__ import annotations
@@ -87,6 +91,7 @@ class GeodesicState:
     t: float
     phi: DiffeoMap
     v: VectorField
+    psi: DiffeoMap
 
 
 def compose(f: ScalarField | VectorField, phi: DiffeoMap):
@@ -102,24 +107,6 @@ def compose_maps(outer: DiffeoMap, inner: DiffeoMap) -> DiffeoMap:
         outer.grid, inner.displacement.values + warped.values))
 
 
-@dataclasses.dataclass(eq=False)
-class _LastInversion:
-    """An earlier inversion: displacement d0, its gradient J0, inverse psi0.
-
-    geodesic_integrate passes one through geodesic_rhs into every invert
-    call of a solve, so that each inversion starts from the one before.
-    """
-
-    displacement: np.ndarray
-    gradient: np.ndarray
-    inverse: np.ndarray
-
-    @classmethod
-    def identity(cls, grid: GridSpec) -> "_LastInversion":
-        zero = np.zeros((grid.dim,) + grid.shape)
-        return cls(zero, np.zeros((grid.dim,) + zero.shape), zero)
-
-
 def _apply(A: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Pointwise matrix-vector product of (d, d, *shape) and (d, *shape)."""
     return np.einsum("ij...,j...->i...", A, w)
@@ -129,16 +116,12 @@ _INVERT_TOL = 1e-10     # max-norm change of psi between sweeps at convergence
 _INVERT_MAX_ITER = 200
 
 
-def invert(phi: DiffeoMap, near: _LastInversion | None = None) -> DiffeoMap:
+def invert(phi: DiffeoMap) -> DiffeoMap:
     """Fixed-point inversion psi_{k+1} = -displacement o (id + psi_k).
 
-    The iteration starts from the first-order update of an earlier
-    inversion (d0, J0, psi0) to the current displacement d with gradient J:
-    psi0 - D + J D - (J - J0) psi0, D = d - d0. Without `near` the earlier
-    inversion is the identity's (all zero), which gives the Taylor start
-    -d + J d. With `near`, it is read for the start and overwritten with
-    this inversion on success. The start changes only the sweep count:
-    the result is the fixed point to within _INVERT_TOL, whatever the start.
+    The iteration starts from the Taylor start -d + J d, with d the
+    displacement and J its gradient, and stops when a sweep changes psi by
+    less than _INVERT_TOL in the max norm.
     """
     J = jacobian(phi.displacement)
     # the pointwise Frobenius norm bounds the spectral norm from above, so
@@ -149,21 +132,15 @@ def invert(phi: DiffeoMap, near: _LastInversion | None = None) -> DiffeoMap:
             raise InversionError(
                 f"displacement gradient norm {contraction:.3f} >= 1")
     grid = phi.grid
-    if near is None:
-        near = _LastInversion.identity(grid)
     coords = grid.coordinate_stack()
     interp = PeriodicInterpolator(grid, phi.displacement.values)
-    delta = phi.displacement.values - near.displacement
-    psi = (near.inverse - delta + _apply(J, delta)
-           - _apply(J - near.gradient, near.inverse))
+    d = phi.displacement.values
+    psi = _apply(J, d) - d
     for _ in range(_INVERT_MAX_ITER):
         new = -interp(coords + psi)
         update = float(np.max(np.abs(new - psi)))
         psi = new
         if update < _INVERT_TOL:
-            near.displacement = phi.displacement.values
-            near.gradient = J
-            near.inverse = psi
             return DiffeoMap(grid, VectorField(grid, psi))
     raise InversionError(
         f"no convergence after {_INVERT_MAX_ITER} iterations")
@@ -179,40 +156,46 @@ def symplectic_residual(phi: DiffeoMap) -> float:
     return float(np.sqrt(np.sum(R * R) * grid.cell_volume))
 
 
-def geodesic_rhs(phi: DiffeoMap, v: VectorField, cutoff_radius: float = 1.0,
-                 near: _LastInversion | None = None
-                 ) -> tuple[VectorField, VectorField]:
-    """(d phi/dt, dv/dt) = (v, B(v o phi^{-1}) o phi); `near` goes to invert."""
-    u = compose(v, invert(phi, near=near))
+def geodesic_rhs(phi: DiffeoMap, v: VectorField, psi: DiffeoMap,
+                 cutoff_radius: float = 1.0
+                 ) -> tuple[VectorField, VectorField, VectorField]:
+    """(d phi/dt, dv/dt, d psi/dt) = (v, B(u) o phi, -(D psi) u), u = v o psi.
+
+    psi stands for phi^{-1}; its transport equation holds for any u, so
+    the Eulerian velocity needs no inversion of phi.
+    """
+    u = compose(v, psi)
     force = fast_force(u, cutoff_radius)
-    return v, compose(force, phi)
+    dpsi = -(u.values + _apply(jacobian(psi.displacement), u.values))
+    return v, compose(force, phi), VectorField(phi.grid, dpsi)
 
 
 def geodesic_integrate(u0: VectorField, t_final: float, dt: float,
                        cutoff_radius: float = 1.0) -> GeodesicState:
-    """RK4 on the coupled (phi, v) system from (id, u0).
+    """RK4 on the coupled (phi, v, psi) system from (id, u0, id).
 
-    Each of the four RK stages inverts its map. The inversion of one stage
-    starts from that of the stage before, across steps too; the carried
-    inversion lives in this call only, so equal inputs give equal outputs.
+    psi = phi^{-1} is carried as a third component, so no stage inverts
+    its map; invert(phi) of the result agrees with psi to the
+    discretization error.
     """
     grid = u0.grid
     steps = step_count(t_final, dt)
-    near = _LastInversion.identity(grid)
+
+    def unpack(y):
+        phi, v, psi = y
+        return (DiffeoMap(grid, VectorField(grid, phi)), VectorField(grid, v),
+                DiffeoMap(grid, VectorField(grid, psi)))
 
     def rhs(c, y):
-        phi = DiffeoMap(grid, VectorField(grid, y[0]))
-        dphi, dv = geodesic_rhs(phi, VectorField(grid, y[1]), cutoff_radius,
-                                near)
-        return dphi.values, dv.values
+        return tuple(f.values
+                     for f in geodesic_rhs(*unpack(y), cutoff_radius))
 
-    y = (np.zeros((grid.dim,) + grid.shape), u0.values)
+    zero = np.zeros((grid.dim,) + grid.shape)
+    y = (zero, u0.values, zero)
     for step in range(1, steps + 1):
         y = rk4(rhs, y, dt)
         _check_finite(step * dt, y, "geodesic state")
-    return GeodesicState(steps * dt,
-                         DiffeoMap(grid, VectorField(grid, y[0])),
-                         VectorField(grid, y[1]))
+    return GeodesicState(steps * dt, *unpack(y))
 
 
 def exp_map(u0: VectorField, dt: float = 0.01,
@@ -226,38 +209,43 @@ def flow_from_velocity(velocities: Iterable[VectorField],
     """Integrates phi_t = u(t) o phi from velocity samples as they arrive.
 
     The i-th sample is u at t = i*dt; any iterable serves, an Integration
-    run included, and at most four samples are kept. The flow is smooth in
-    time, so it steps at 2*dt over pairs of intervals, whose middle sample
-    is the exact RK4 midpoint: stage c=0 takes sample i, c=1/2 sample i+1
-    and c=1 sample i+2. An odd step count ends with one dt step whose
-    midpoint is cubic in time through the last (up to) four samples.
+    run included, and the values of at most four samples are kept. The
+    flow is smooth in time, so it steps at 2*dt over pairs of intervals,
+    whose middle sample is the exact RK4 midpoint: stage c=0 takes sample
+    i, c=1/2 sample i+1 and c=1 sample i+2. An odd step count ends with
+    one dt step whose midpoint is cubic in time through the last (up to)
+    four samples.
     """
     samples = iter(velocities)
-    recent = deque(itertools.islice(samples, 1), maxlen=4)
-    if not recent:
+    first = next(samples, None)
+    if first is None:
         raise ValueError("need at least two velocity samples")
-    grid = recent[0].grid
+    grid = first.grid
     coords = grid.coordinate_stack()
+    # only values are kept: a sample of a half-lattice run holds its
+    # spectrum too
+    recent = deque([first.values], maxlen=4)
+    values = (v.values for v in samples)
+    del first
 
     def rhs(c, y):
         # the stage offset picks the field: start, midpoint or end
         return (fields[c](y[0]),)
 
     y, steps = (coords,), 0
-    fields = {0.0: PeriodicInterpolator(grid, recent[0].values)}
-    for mid, end in itertools.zip_longest(samples, samples):
+    fields = {0.0: PeriodicInterpolator(grid, recent[0])}
+    for mid, end in itertools.zip_longest(values, values):
         if end is None:
             # odd tail: one dt step, midpoint interpolated in time
             recent.append(mid)
             w = _lagrange_weights(np.asarray(len(recent) - 1.5), len(recent))
-            mid = VectorField(grid, sum(wj * v.values
-                                        for wj, v in zip(w, recent)))
+            mid = sum(wj * v for wj, v in zip(w, recent))
             end, h, steps = recent[-1], dt, steps + 1
         else:
             recent.extend((mid, end))
             h, steps = 2.0 * dt, steps + 2
-        fields[0.5] = PeriodicInterpolator(grid, mid.values)
-        fields[1.0] = PeriodicInterpolator(grid, end.values)
+        fields[0.5] = PeriodicInterpolator(grid, mid)
+        fields[1.0] = PeriodicInterpolator(grid, end)
         y = rk4(rhs, y, h)
         _check_finite(steps * dt, y, "flow map")
         # the end field carries over; the other two are freed before the

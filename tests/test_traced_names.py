@@ -63,22 +63,27 @@ def test_workload_calls_exist():
     assert missing == []
 
 
-def test_geodesic_integrate_inverts_through_module_attribute(monkeypatch):
-    # the tracer's lagrangian.invert span (and its sweeps per call) counts
-    # only calls looked up on the module: one per RK stage, four per step
-    calls = []
-    invert = lagrangian.invert
+def test_geodesic_integrate_steps_through_module_attribute(monkeypatch):
+    # the tracer's lagrangian.geodesic_rhs span counts only calls looked up
+    # on the module: one per RK stage, four per step. The stage's Jacobian
+    # of psi runs inside that span, and no stage inverts its map
+    calls = {"geodesic_rhs": 0, "invert": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return invert(*args, **kwargs)
+    def counting(name):
+        original = getattr(lagrangian, name)
 
-    monkeypatch.setattr(lagrangian, "invert", counting)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(lagrangian, name, wrapper)
+
+    for name in calls:
+        counting(name)
     grid = GridSpec(n=1, points_per_axis=32)
     u = random_symplectic(grid, seed=3, decay=1.0)
     u0 = VectorField(grid, 0.05 / np.max(np.abs(u.values)) * u.values)
     lagrangian.geodesic_integrate(u0, 0.15, 0.05)
-    assert len(calls) == 4 * 3
+    assert calls == {"geodesic_rhs": 4 * 3, "invert": 0}
 
 
 @pytest.mark.parametrize("steps, builds, evaluations, one_shot", [
