@@ -131,7 +131,8 @@ def cmd_run_lagrangian(args) -> int:
     out = _out_dir(args)
     state = geodesic_integrate(u0, cfg.t_final, cfg.lagrangian_dt,
                                cutoff_radius=cfg.cutoff_radius)
-    u_final = compose(state.v, invert(state.phi))
+    inverse = invert(state.phi)
+    u_final = compose(state.v, inverse)
     rows = []
     residuals = []
     for t, phi, u in ((0.0, DiffeoMap.identity(cfg.grid), u0),
@@ -148,7 +149,9 @@ def cmd_run_lagrangian(args) -> int:
         write_snapshot(os.path.join(out, "phi.snap"), state.phi)
         write_snapshot(os.path.join(out, cfg.snapshot), state.v)
 
-    _say(args, f"t={state.t:.6g} symplectic_residual={residuals[-1]:.6g}")
+    gap = state.psi.displacement.values - inverse.displacement.values
+    _say(args, f"t={state.t:.6g} symplectic_residual={residuals[-1]:.6g} "
+               f"psi_gap={np.max(np.abs(gap)):.6g}")
     if args.check_equivalence:
         eres = integrate(u0, cfg.t_final, dt, cutoff_radius=cfg.cutoff_radius,
                          diag_every=10 ** 9, s=cfg.s)

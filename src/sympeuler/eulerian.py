@@ -370,17 +370,26 @@ def _check_finite(t: float, arrays: Sequence[np.ndarray],
 def rk4(rhs: Callable[[float, tuple], tuple], y: tuple, dt: float) -> tuple:
     """One classical RK4 step of the system y' = f(t, y), y a tuple of arrays.
 
-    rhs(c, y) returns the tuple of derivatives at the stage whose time
-    offset is c * dt, c in {0, 1/2, 1/2, 1}. The Eulerian, geodesic and
-    flow-map loops all step through here, so the two formulations are
-    integrated by the same arithmetic.
+    rhs(c, y) returns the derivatives at the stage offset c * dt, c in
+    {0, 1/2, 1/2, 1}. Each stage input and result component is one fresh
+    array, summed in the order of a + c dt k and a + (dt/6)(p + 2q + 2r +
+    w), so bitwise equal; no k is written to, as one may be its stage input.
     """
+    def axpy(s, xs, bases):  # s x + b, one fresh array per component
+        return tuple(np.add(t, b, out=t)
+                     for t, b in zip((np.multiply(x, s) for x in xs), bases))
+
     k1 = rhs(0.0, y)
-    k2 = rhs(0.5, tuple(a + 0.5 * dt * k for a, k in zip(y, k1)))
-    k3 = rhs(0.5, tuple(a + 0.5 * dt * k for a, k in zip(y, k2)))
-    k4 = rhs(1.0, tuple(a + dt * k for a, k in zip(y, k3)))
-    return tuple(a + (dt / 6.0) * (p + 2.0 * q + 2.0 * r + w)
-                 for a, p, q, r, w in zip(y, k1, k2, k3, k4))
+    k2 = rhs(0.5, axpy(0.5 * dt, k1, y))
+    k3 = rhs(0.5, axpy(0.5 * dt, k2, y))
+    k4 = rhs(1.0, axpy(dt, k3, y))
+    out = axpy(2.0, k2, k1)
+    for o, r, w, a in zip(out, k3, k4, y):
+        o += 2.0 * r
+        o += w
+        o *= dt / 6.0
+        o += a
+    return out
 
 
 @dataclasses.dataclass(eq=False)

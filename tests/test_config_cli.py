@@ -566,6 +566,28 @@ def test_cli_lagrangian_equivalence(tmp_path, capsys):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("n, dt, low, high", [
+    pytest.param(32, 0.1, 1e-7, 1e-6, id="coarse"),
+    pytest.param(64, 0.05, 0.0, 1e-8, id="resolved"),
+])
+def test_cli_lagrangian_prints_psi_gap(tmp_path, capsys, n, dt, low, high):
+    # the solve transports psi instead of inverting phi; the printed gap
+    # to invert(phi) is a spatial drift at N=32 (3.5e-7, the same at
+    # dt=0.05) and the RK4 time error at N=64 (9.2e-10, 1.4e-8 at dt=0.1)
+    cfg = write_cfg(tmp_path, {
+        "grid": {"points_per_axis": n},
+        "time": {"t_final": 0.5, "cfl": 0.5},
+        "initial": {"kind": "random_symplectic", "seed": 5, "decay": 1.0,
+                    "norm": 20.0},
+        "lagrangian": {"dt": dt}})
+    code = run_cli("run-lagrangian", "--config", cfg, "--out", str(tmp_path))
+    assert code == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("t=0.5 symplectic_residual=")
+    gap = float(line.split("psi_gap=")[1])
+    assert low < gap < high
+
+
 def test_cli_lagrangian_expect_residual(tmp_path, capsys):
     # the residual dichotomy is a statement about the time-1 map
     cfg = write_cfg(tmp_path, {

@@ -87,18 +87,20 @@ def test_geodesic_integrate_steps_through_module_attribute(monkeypatch):
 
 
 @pytest.mark.parametrize("steps, builds, evaluations, one_shot", [
-    pytest.param(10, 11, 20, False, id="10-11-20"),
-    pytest.param(11, 13, 24, False, id="11-13-24"),
-    pytest.param(10, 11, 20, True, id="10-11-20-generator"),
-    pytest.param(11, 13, 24, True, id="11-13-24-generator"),
+    pytest.param(steps, builds, evaluations, one_shot,
+                 id=f"{steps}-generator" if one_shot else f"{steps}")
+    for one_shot in (False, True)
+    for steps, builds, evaluations in ((8, 5, 8), (9, 7, 12), (10, 7, 12),
+                                       (11, 9, 16))
 ])
 def test_flow_from_velocity_interpolator_counts(monkeypatch, steps, builds,
                                                 evaluations, one_shot):
     # the tracer's interp.build and interp.eval spans count interpolators
-    # made through the module attribute: one build per sample, and one RK4
-    # step (four evaluations) per pair of intervals, plus for an odd count
-    # a one-interval step that builds its interpolated midpoint. A list and
-    # a one-shot generator of the same samples count the same.
+    # made through the module attribute: one build for the first sample
+    # and two per RK4 step (four evaluations). A step spans four
+    # intervals; a remainder of two or three takes a 2 dt step, and an odd
+    # one ends with a dt step that builds its interpolated midpoint. A
+    # list and a one-shot generator of the same samples count the same.
     counts = {"build": 0, "eval": 0}
 
     class Counting(PeriodicInterpolator):
