@@ -13,7 +13,6 @@ from .spectral import (
     dealias_band,
     inverse_laplacian,
     lebesgue_norms,
-    littlewood_paley_blocks,
     partial_derivative,
     riesz_transform,
     sobolev_norm,
@@ -48,7 +47,6 @@ __all__ = [
     "dealias_band",
     "inverse_laplacian",
     "lebesgue_norms",
-    "littlewood_paley_blocks",
     "partial_derivative",
     "riesz_transform",
     "sobolev_norm",

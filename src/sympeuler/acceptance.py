@@ -34,7 +34,7 @@ from .operators import (advective_deformation_flux,
                         velocity_from_symplectic_divergence)
 from .spectral import l2_inner, partial_derivative, sobolev_norm, inverse_laplacian
 
-__all__ = ["CriterionResult", "run_criteria", "CRITERIA"]
+__all__ = ["CriterionResult", "run_criteria"]
 
 
 @dataclasses.dataclass

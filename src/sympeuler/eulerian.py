@@ -21,9 +21,9 @@ every shell.
 rk4 is the one RK4 step of the package: the Eulerian run, the geodesic
 integrator and the flow map all call it. The run, Integration, steps u
 on the half lattice and yields it after each step, so lagrangian.py
-steps the flow map as the samples arrive; integrate drains it. Values
-are transformed only where read: flow-map builds, traced points and
-snapshots.
+steps the flow map as the samples arrive, building its interpolators
+from their spectra; integrate drains it. Values are transformed only
+for traced points, snapshots and the record's Jacobian.
 _atomic_write (temp file plus rename) is the one writer behind every
 output file: the diagnostics CSV, snapshots and JSON sidecars
 (write_json).
@@ -456,7 +456,10 @@ class Integration:
             if step % self.diag_every == 0 or step == steps:
                 self.records.append(
                     diagnostics(self.state, self.s, self.records[-1]))
-            if math.sqrt(_sobolev_sq(grid, y[0], self.s)) > hs_limit:
+                hs = self.records[-1].hs    # the same sum over y[0]
+            else:
+                hs = math.sqrt(_sobolev_sq(grid, y[0], self.s))
+            if hs > hs_limit:
                 raise DiscretizationFailure(
                     self.state.t, "H^s norm exceeded 1e6 x initial")
             yield new_u

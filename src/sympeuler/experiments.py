@@ -70,10 +70,6 @@ __all__ = [
     "ResolutionGuardError",
     "ExperimentFailure",
     "oracle_2d_solve",
-    "disjoint_support_probe",
-    "log_estimate_probe",
-    "log_probe_family",
-    "commutator_sweep",
     "probe_report",
     "NonuniformConfig",
     "NonuniformRow",

@@ -2,7 +2,9 @@
 
 A map is stored as identity-plus-displacement; composition and inversion
 work through periodic interpolation (spectral upsampling, then quintic
-B-splines). The geodesic vector field on (map, velocity) pairs is
+B-splines), built from the half spectrum a field caches, so a field
+that a kernel returned as a spectrum is never transformed back to values
+to be composed. The geodesic vector field on (map, velocity) pairs is
 (v, B(v o phi^{-1}) o phi). The solve carries phi^{-1} as a third
 component psi, transported by psi_t + (D psi) u = 0, instead of
 inverting phi at every stage; invert serves the callers that need the
@@ -10,7 +12,7 @@ inverse of a finished map. The geodesic field, and the reconstruction
 of a flow map from Eulerian velocity samples, step through eulerian.rk4,
 the stepper of the Eulerian integrator, so the two formulations are
 integrated by the same arithmetic. The reconstruction takes the samples
-as an Eulerian run yields them, keeping the values of at most four, and
+as an Eulerian run yields them, keeping the spectra of at most four, and
 steps at 4*dt, or 2*dt over a remainder of two intervals: the middle
 sample is the exact RK4 midpoint, and only an odd last interval needs a
 midpoint interpolated in time.
@@ -35,7 +37,6 @@ __all__ = [
     "GeodesicState",
     "InversionError",
     "compose",
-    "compose_maps",
     "invert",
     "symplectic_residual",
     "geodesic_rhs",
@@ -59,13 +60,6 @@ class DiffeoMap:
     @classmethod
     def identity(cls, grid: GridSpec) -> "DiffeoMap":
         return cls(grid, VectorField(grid, np.zeros((grid.dim,) + grid.shape)))
-
-    @classmethod
-    def translation(cls, grid: GridSpec, shift) -> "DiffeoMap":
-        vals = np.zeros((grid.dim,) + grid.shape)
-        for k, a in enumerate(np.asarray(shift, dtype=float)):
-            vals[k] = a
-        return cls(grid, VectorField(grid, vals))
 
     def positions(self) -> np.ndarray:
         """Image points (dim, *shape), not wrapped."""
@@ -94,16 +88,9 @@ class GeodesicState:
 
 
 def compose(f: ScalarField | VectorField, phi: DiffeoMap):
-    """f o phi by periodic interpolation; exact for constant f."""
-    values = PeriodicInterpolator(phi.grid, f.values)(phi.positions())
+    """f o phi by periodic interpolation of f.rhat; exact for constant f."""
+    values = PeriodicInterpolator(phi.grid, f.rhat)(phi.positions())
     return type(f)(f.grid, values)
-
-
-def compose_maps(outer: DiffeoMap, inner: DiffeoMap) -> DiffeoMap:
-    """(outer o inner)(x) = inner(x) + displacement_outer(inner(x))."""
-    warped = compose(outer.displacement, inner)
-    return DiffeoMap(outer.grid, VectorField(
-        outer.grid, inner.displacement.values + warped.values))
 
 
 def _apply(A: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -133,7 +120,7 @@ def invert(phi: DiffeoMap) -> DiffeoMap:
                 f"displacement gradient norm {contraction:.3f} >= 1")
     grid = phi.grid
     coords = grid.coordinate_stack()
-    interp = PeriodicInterpolator(grid, phi.displacement.values)
+    interp = PeriodicInterpolator(grid, phi.displacement.rhat)
     d = phi.displacement.values
     psi = _apply(J, d) - d
     for _ in range(_INVERT_MAX_ITER):
@@ -209,7 +196,8 @@ def flow_from_velocity(velocities: Iterable[VectorField],
     """Integrates phi_t = u(t) o phi from velocity samples as they arrive.
 
     The i-th sample is u at t = i*dt; any iterable serves, an Integration
-    run included, and the values of at most four samples are kept. The
+    run included. Only the half spectra (rhat) of at most four samples
+    are kept, and a sample's values are never read. The
     flow is smooth in time, so it steps at 4*dt over groups of four
     intervals, whose middle sample is the exact RK4 midpoint: stage c=0
     takes sample i, c=1/2 sample i+2 and c=1 sample i+4. A remainder of
@@ -225,14 +213,12 @@ def flow_from_velocity(velocities: Iterable[VectorField],
         raise ValueError("need at least two velocity samples")
     grid = first.grid
     coords = grid.coordinate_stack()
-    # values only: a sample of a half-lattice run holds its spectrum too
-    recent = deque([first.values], maxlen=4)
-    del first
+    recent = deque([first.rhat], maxlen=4)
 
     def spans():  # (midpoint, end, intervals) of each step, as its end arrives
         pending = 0
         for u in samples:
-            recent.append(u.values)
+            recent.append(u.rhat)
             pending = (pending + 1) % _FLOW_STRIDE
             if not pending:
                 yield recent[1], recent[3], _FLOW_STRIDE

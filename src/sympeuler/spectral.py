@@ -32,8 +32,6 @@ __all__ = [
     "inverse_laplacian",
     "riesz_transform",
     "ball_cutoff_mask",
-    "littlewood_paley_blocks",
-    "littlewood_paley_profiles",
     "sobolev_norm",
     "lebesgue_norms",
     "l2_inner",
@@ -151,56 +149,6 @@ def riesz_transform(u, axis: int):
     xi2 = _xi_squared(u.grid)
     inv_norm = np.where(xi2 > 0.0, 1.0 / np.sqrt(np.where(xi2 > 0.0, xi2, 1.0)), 0.0)
     return _apply_symbol(u, _half_derivative(u.grid, axis) * inv_norm)
-
-
-# ---------------------------------------------------------------------------
-# Littlewood-Paley blocks
-
-
-def _smooth_step(t: np.ndarray) -> np.ndarray:
-    """C^inf transition, 1 for t <= 0 and 0 for t >= 1 (exp(-1/t) cutoff)."""
-    t = np.asarray(t, dtype=float)
-    a = np.zeros_like(t)
-    b = np.zeros_like(t)
-    inside = (t > 0.0) & (t < 1.0)
-    a[inside] = np.exp(-1.0 / t[inside])
-    b[inside] = np.exp(-1.0 / (1.0 - t[inside]))
-    out = np.where(t <= 0.0, 1.0, 0.0)
-    out[inside] = b[inside] / (a[inside] + b[inside])
-    return out
-
-
-def _theta_profile(r: np.ndarray) -> np.ndarray:
-    """Radial bump: 1 on |xi| <= 3/4, 0 outside |xi| >= 4/3, smooth between."""
-    return _smooth_step((np.asarray(r) - 0.75) / (4.0 / 3.0 - 0.75))
-
-
-@functools.lru_cache(maxsize=16)
-def littlewood_paley_profiles(grid: GridSpec
-                              ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Half-lattice values of the low-pass profile and the dyadic annulus
-    profiles.
-
-    The annulus profiles eta_j(xi) = theta(xi/2^{j+1}) - theta(xi/2^j) are
-    supported in {3/4 * 2^j <= |xi| <= 8/3 * 2^j}; together with theta they
-    telescope to 1 on the whole grid lattice.
-    """
-    r = _xi_magnitude(grid)
-    r_max = float(r.max())
-    if r_max <= 0.75:
-        levels = 0
-    else:
-        levels = max(0, math.ceil(math.log2(r_max / 0.75)) - 1)
-    thetas = [_theta_profile(r / 2.0**j) for j in range(levels + 2)]
-    low = thetas[0]
-    annuli = tuple(thetas[j + 1] - thetas[j] for j in range(levels + 1))
-    return low, annuli
-
-
-def littlewood_paley_blocks(f: ScalarField) -> list[ScalarField]:
-    """Dyadic decomposition [low-pass block, annulus blocks...]; sums to f."""
-    low, annuli = littlewood_paley_profiles(f.grid)
-    return [_apply_symbol(f, p) for p in (low,) + annuli]
 
 
 # ---------------------------------------------------------------------------

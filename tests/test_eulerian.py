@@ -1,9 +1,11 @@
 """Eulerian RK4 integrator: fixed points, order, conservation, failure modes."""
 
+import ast
 import csv
 import importlib
 import os
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -495,3 +497,51 @@ def test_every_public_name_resolves():
             assert hasattr(module, name), f"sympeuler.{info.name}.{name}"
     for name in sympeuler.__all__:
         assert hasattr(sympeuler, name), name
+
+
+# module.name -> why it stays exported although no other module of the
+# package uses it
+EXPORTS_WITHOUT_PACKAGE_USE = {
+    "spectral.spectral_upsample":
+        "oracle of the interpolator build; a perfbench trace layer",
+    "eulerian.eulerian_rhs": "compositional oracle of the fused kernel",
+    "eulerian.fast_rhs": "the fused kernel's entry; a perfbench trace layer",
+    "lagrangian.geodesic_rhs": "the geodesic field; a perfbench trace layer",
+    "experiments.exp_via_flow": "solved by perfbench's flow_probe",
+    "experiments.find_probe_direction": "perfbench's flow_probe set-up",
+    "snapshots.read_snapshot": "reads the files write_snapshot writes",
+    "snapshots.SnapshotError": "the typed error of read_snapshot",
+    "acceptance.CriterionResult": "element type of run_criteria's result",
+    "eulerian.DiagnosticsRecord": "element type of Integration.records",
+    "lagrangian.GeodesicState": "result type of geodesic_integrate",
+    "experiments.NonuniformConfig": "input type of run_nonuniform",
+    "experiments.NonuniformRow": "row type of NonuniformReport",
+    "experiments.NonuniformReport": "result type of run_nonuniform",
+}
+
+
+def _exports_without_package_use() -> list[str]:
+    """module.name of each __all__ entry (the package's own __init__
+    aside) that no other module names in code: an ast.Name or an
+    attribute, so neither a comment, a string nor an import counts."""
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in Path(sympeuler.__file__).parent.glob("*.py")}
+    used = {module: {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(tree)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            for module, tree in trees.items()}
+    unused = []
+    for module in sorted(trees.keys() - {"__init__"}):
+        for name in getattr(importlib.import_module(f"sympeuler.{module}"),
+                            "__all__", ()):
+            if not any(name in names for other, names in used.items()
+                       if other != module):
+                unused.append(f"{module}.{name}")
+    return unused
+
+
+def test_every_export_is_used_by_the_package_or_allowed():
+    unused = set(_exports_without_package_use())
+    allowed = set(EXPORTS_WITHOUT_PACKAGE_USE)
+    assert sorted(unused - allowed) == []   # exports only tests use
+    assert sorted(allowed - unused) == []   # stale: used now, or gone

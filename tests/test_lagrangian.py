@@ -16,7 +16,6 @@ from sympeuler.lagrangian import (
     DiffeoMap,
     InversionError,
     compose,
-    compose_maps,
     exp_map,
     flow_from_velocity,
     geodesic_integrate,
@@ -39,6 +38,21 @@ def small_symplectic(grid, seed, amp=0.1):
     return VectorField(grid, (amp / np.max(np.abs(u.values))) * u.values)
 
 
+def translation(grid, shift):
+    """The map x -> x + shift, a constant displacement."""
+    vals = np.empty((grid.dim,) + grid.shape)
+    vals[...] = np.reshape(shift, (-1,) + (1,) * grid.dim)
+    return DiffeoMap(grid, VectorField(grid, vals))
+
+
+def round_trip_gap(phi):
+    """Max displacement of phi o invert(phi), composed as
+    psi + displacement o (id + psi) for the inverse's displacement psi."""
+    inv = invert(phi)
+    both = inv.displacement.values + compose(phi.displacement, inv).values
+    return np.max(np.abs(both))
+
+
 # ---------------------------------------------------------------------------
 # composition and inversion
 
@@ -52,7 +66,7 @@ def test_compose_with_identity():
 
 def test_compose_constant_exact():
     f = ScalarField(GRID, np.full(GRID.shape, 2.5))
-    phi = DiffeoMap.translation(GRID, (0.3, -0.7))
+    phi = translation(GRID, (0.3, -0.7))
     assert np.max(np.abs(compose(f, phi).values - 2.5)) < 1e-14
 
 
@@ -60,31 +74,21 @@ def test_compose_translation_closed_form():
     x1 = GRID.coordinate_arrays()[0]
     f = ScalarField(GRID, np.sin(x1) * np.ones(GRID.shape))
     a = 0.37
-    out = compose(f, DiffeoMap.translation(GRID, (a, 0.0)))
+    out = compose(f, translation(GRID, (a, 0.0)))
     expect = np.sin(x1 + a) * np.ones(GRID.shape)
     assert np.max(np.abs(out.values - expect)) < 1e-9
-
-
-def test_compose_maps_translations_add():
-    p = DiffeoMap.translation(GRID, (0.2, 0.1))
-    q = DiffeoMap.translation(GRID, (0.3, -0.4))
-    out = compose_maps(p, q)
-    assert np.max(np.abs(out.displacement.values[0] - 0.5)) < 1e-12
-    assert np.max(np.abs(out.displacement.values[1] + 0.3)) < 1e-12
 
 
 def test_invert_identity_and_translation():
     inv = invert(DiffeoMap.identity(GRID))
     assert np.max(np.abs(inv.displacement.values)) < 1e-12
-    inv = invert(DiffeoMap.translation(GRID, (0.4, 0.0)))
+    inv = invert(translation(GRID, (0.4, 0.0)))
     assert np.max(np.abs(inv.displacement.values[0] + 0.4)) < 1e-10
 
 
 def test_invert_round_trip():
     u = small_symplectic(GRID, seed=60, amp=0.2)
-    phi = DiffeoMap(GRID, u)
-    both = compose_maps(phi, invert(phi))
-    assert np.max(np.abs(both.displacement.values)) < 1e-8
+    assert round_trip_gap(DiffeoMap(GRID, u)) < 1e-8
 
 
 def test_invert_rejects_large_displacement():
@@ -100,9 +104,7 @@ def test_invert_accepts_frobenius_above_one_spectral_below():
     # d(disp) = 0.8 I at the origin: Frobenius norm 1.13, spectral norm 0.8
     x1, x2 = GRID64.coordinate_arrays()
     vals = np.stack(np.broadcast_arrays(0.8 * np.sin(x1), 0.8 * np.sin(x2)))
-    phi = DiffeoMap(GRID64, VectorField(GRID64, vals))
-    both = compose_maps(phi, invert(phi))
-    assert np.max(np.abs(both.displacement.values)) < 1e-8
+    assert round_trip_gap(DiffeoMap(GRID64, VectorField(GRID64, vals))) < 1e-8
 
 
 def _counting_calls(monkeypatch):
@@ -370,15 +372,15 @@ def test_streamed_flow_equals_flow_of_the_listed_run(steps):
 
 
 def _peak_live_samples(steps, dt=0.01):
-    """Most yielded velocity arrays alive at once while the flow is
-    stepped from a run."""
+    """Most yielded velocity spectra (rhat, which the flow keeps) alive at
+    once while the flow is stepped from a run."""
     u0 = small_symplectic(GRID32, seed=70)
     refs, peak = [], 0
 
     def watched():
         nonlocal peak
         for u in Integration(u0, steps * dt, dt, diag_every=10 ** 9):
-            refs.append(weakref.ref(u.values))
+            refs.append(weakref.ref(u.rhat))
             peak = max(peak, sum(r() is not None for r in refs))
             yield u
 
@@ -422,7 +424,7 @@ def test_flow_of_solution_is_volume_preserving():
 def test_symplectic_residual_trivial_maps():
     assert symplectic_residual(DiffeoMap.identity(GRID)) < 1e-14
     assert symplectic_residual(
-        DiffeoMap.translation(GRID, (0.7, -0.2))) < 1e-12
+        translation(GRID, (0.7, -0.2))) < 1e-12
 
 
 def test_solution_flow_is_symplectic():

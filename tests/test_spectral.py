@@ -1,4 +1,4 @@
-"""Multiplier operators, norms, dealiasing, and dyadic blocks."""
+"""Multiplier operators, norms and dealiasing."""
 
 import math
 
@@ -14,7 +14,6 @@ from sympeuler.spectral import (
     _half_derivative_symbols,
     _half_inverse_laplacian,
     _sobolev_weights,
-    _theta_profile,
     _xi_magnitude,
     _xi_squared,
     ball_cutoff_mask,
@@ -23,8 +22,6 @@ from sympeuler.spectral import (
     inverse_laplacian,
     l2_inner,
     lebesgue_norms,
-    littlewood_paley_blocks,
-    littlewood_paley_profiles,
     partial_derivative,
     riesz_transform,
     sobolev_norm,
@@ -70,8 +67,6 @@ def _full_lattice_symbols(grid):
     r = np.sqrt(xi2)
     mask = np.logical_and.reduce(np.broadcast_arrays(
         *[np.abs(kj) <= (N - 1) // 3 for kj in k]))
-    levels = max(0, math.ceil(math.log2(r.max() / 0.75)) - 1)
-    thetas = [_theta_profile(r / 2.0**j) for j in range(levels + 2)]
     symbols = {
         "frequencies": xi,
         "derivatives": [1j * np.where(kj == -N // 2, 0.0, xij)
@@ -83,8 +78,6 @@ def _full_lattice_symbols(grid):
         "dealias_mask": mask,
         "ball r=1": (r <= 1.0).astype(float),
         "ball r=sqrt13": (r <= math.sqrt(13.0)).astype(float),
-        "lp_low": thetas[0],
-        "lp_annuli": [b - a for a, b in zip(thetas, thetas[1:])],
     }
     for decay in (0.5, 1.0):
         filt = np.exp(-decay * r / xi0) * mask
@@ -109,7 +102,6 @@ def _full_lattice_symbols(grid):
 def test_symbols_equal_the_cut_full_lattice(grid):
     # bitwise: the last axis keeps fftfreq's -N/2 as its Nyquist column,
     # so the derivative symbols zero it (an rfftfreq axis would hold +N/2)
-    low, annuli = littlewood_paley_profiles(grid)
     ours = {
         "frequencies": list(_frequencies(grid)),
         "derivatives": list(_half_derivative_symbols(grid)),
@@ -119,8 +111,6 @@ def test_symbols_equal_the_cut_full_lattice(grid):
         "dealias_mask": dealias_mask(grid),
         "ball r=1": ball_cutoff_mask(grid, 1.0),
         "ball r=sqrt13": ball_cutoff_mask(grid, math.sqrt(13.0)),
-        "lp_low": low,
-        "lp_annuli": list(annuli),
         "random_filter decay=0.5": _random_filter(grid, 0.5),
         "random_filter decay=1.0": _random_filter(grid, 1.0),
         "sobolev_weights s=0.0": _sobolev_weights(grid, 0.0),
@@ -306,44 +296,6 @@ def test_ball_cutoff_projection_and_recovery(grid64):
 def test_ball_cutoff_rejects_bad_radius(grid32):
     with pytest.raises(ValueError):
         ball_cutoff_mask(grid32, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# dyadic blocks
-
-
-def test_dyadic_blocks_partition(grid64):
-    f = random_potential(grid64, seed=11)
-    blocks = littlewood_paley_blocks(f)
-    total = np.sum([b.values for b in blocks], axis=0)
-    assert rel_err(total, f.values) < 1e-10
-
-
-def test_dyadic_blocks_single_mode_support(grid64):
-    f = sin_mode(grid64)  # |xi| = 1: only theta (<= 4/3) and j=0 ([3/4, 8/3])
-    blocks = littlewood_paley_blocks(f)
-    for j, b in enumerate(blocks[2:], start=1):
-        assert np.max(np.abs(b.values)) < 1e-13, f"leak into block j={j}"
-
-
-def test_dyadic_blocks_spectral_support(grid64):
-    f = random_potential(grid64, seed=12)
-    xi = _xi_magnitude(grid64)
-    # spectra of the values, not the blocks' own cached coefficients
-    spectrum = lambda g: np.fft.rfft2(g.values)
-    blocks = littlewood_paley_blocks(f)
-    scale = np.max(np.abs(spectrum(f)))
-    outside = xi > 4.0 / 3.0
-    assert np.max(np.abs(spectrum(blocks[0])[outside])) < 1e-12 * scale
-    for j, b in enumerate(blocks[1:]):
-        keep = (0.75 * 2.0 ** j <= xi) & (xi <= 8.0 / 3.0 * 2.0 ** j)
-        assert np.max(np.abs(spectrum(b)[~keep])) < 1e-12 * scale
-
-
-def test_dyadic_blocks_zero(grid32):
-    z = ScalarField(grid32, np.zeros(grid32.shape))
-    assert all(np.max(np.abs(b.values)) == 0.0
-               for b in littlewood_paley_blocks(z))
 
 
 # ---------------------------------------------------------------------------

@@ -104,9 +104,9 @@ def test_flow_from_velocity_interpolator_counts(monkeypatch, steps, builds,
     counts = {"build": 0, "eval": 0}
 
     class Counting(PeriodicInterpolator):
-        def __init__(self, grid, values):
+        def __init__(self, grid, hat):
             counts["build"] += 1
-            super().__init__(grid, values)
+            super().__init__(grid, hat)
 
         def __call__(self, points):
             counts["eval"] += 1
