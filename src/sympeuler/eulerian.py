@@ -22,8 +22,9 @@ rk4 is the one RK4 step of the package: the Eulerian run, the geodesic
 integrator and the flow map all call it. The run, Integration, steps u
 on the half lattice and yields it after each step, so lagrangian.py
 steps the flow map as the samples arrive, building its interpolators
-from their spectra; integrate drains it. Values are transformed only
-for traced points, snapshots and the record's Jacobian.
+from their spectra; integrate drains it. Traced points are summed
+from the stage spectra too, so values are transformed only for
+snapshots and the record's Jacobian.
 _atomic_write (temp file plus rename) is the one writer behind every
 output file: the diagnostics CSV, snapshots and JSON sidecars
 (write_json).
@@ -45,7 +46,7 @@ import numpy as np
 
 from .fields import VectorField
 from .grids import GridSpec
-from .interp import local_lagrange_sample
+from .interp import fourier_sample
 from .operators import advection_term, constraint_force, project_symplectic
 from .spectral import (
     _half_derivative_symbols,
@@ -402,8 +403,9 @@ class Integration:
     trace update, diagnostics and H^s guard (a Parseval sum, every step),
     and fills in state, records (see DIAGNOSTIC_COLUMNS) and trace. Nothing
     keeps the history. trace_points (dim, M) move with the RK4 stage
-    velocities, sampled by local Lagrange stencils; trace (steps+1, dim,
-    M) holds their unwrapped (covering-space) positions.
+    velocities, summed from each stage's half spectrum by fourier_sample
+    (exact trigonometric interpolation, no transform); trace (steps+1,
+    dim, M) holds their unwrapped (covering-space) positions.
     """
 
     u0: VectorField
@@ -438,8 +440,7 @@ class Integration:
             k = (fast_rhs(u, self.cutoff_radius).rhat,)
             if tracing:
                 # positions move through the same stage fields (coupled RK4)
-                k += (local_lagrange_sample(grid, u.values,
-                                            y[1] % grid.box_length),)
+                k += (fourier_sample(grid, y[0], y[1]),)
             return k
 
         yield self.u0

@@ -7,8 +7,9 @@ native spectrum is zero-padded to the fine grid and divided by the DFT
 symbol of the sampled quintic B-spline, which for periodic data is the
 exact spline prefilter (Unser, IEEE SPM 1999). The max error
 on exp(sin x1 + cos(2 x2)/2) falls about 70-fold per doubling of N, to
-~2e-11 at N=128, at O(N^d log N) per build. Point tracing uses local
-tensor-product Lagrange stencils directly on the native grid.
+~2e-11 at N=128, at O(N^d log N) per build. A few traced points are
+instead summed from the same half spectrum (fourier_sample): exact
+trigonometric interpolation at O(M N^d), with no transform.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import numpy as np
 from scipy import ndimage
 
 from .grids import GridSpec
-from .spectral import _half_shape
+from .spectral import _column_multiplicity, _frequencies, _half_shape
 
-__all__ = ["PeriodicInterpolator", "local_lagrange_sample"]
+__all__ = ["PeriodicInterpolator", "fourier_sample"]
 
 _UPSAMPLE = 2       # spectral refinement factor before the spline fit
 _SPLINE_ORDER = 5   # quintic B-splines
-_STENCIL = 6        # Lagrange nodes per axis in local_lagrange_sample
 
 
 class PeriodicInterpolator:
@@ -105,40 +105,25 @@ def _prefilter_padding(grid: GridSpec):
     return tuple(src), tuple(dst), multiplier, fine_half
 
 
-def _lagrange_weights(frac: np.ndarray, stencil: int) -> np.ndarray:
-    """Weights of shape (*frac.shape, stencil) for nodes 0..stencil-1: the
-    product over m of factors (frac - m) / (j - m), 1 where m = j."""
-    nodes = np.arange(stencil)
-    off = ~np.eye(stencil, dtype=bool)
-    gaps = np.where(off, nodes[:, None] - nodes, 1)           # j - m
-    factors = (frac[..., None, None] - nodes) / gaps
-    return np.where(off, factors, 1.0).prod(axis=-1)
+def fourier_sample(grid: GridSpec, hat: np.ndarray,
+                   points: np.ndarray) -> np.ndarray:
+    """The trigonometric interpolant of a half spectrum at a few points.
 
-
-def local_lagrange_sample(grid: GridSpec, values: np.ndarray,
-                          points: np.ndarray) -> np.ndarray:
-    """Tensor-product Lagrange interpolation at a few scattered points.
-
-    `values`: (*lead, *grid.shape); `points`: (dim, M). No global
-    transform is performed, so the cost is O(_STENCIL^dim) per point.
+    `hat` is laid out as a field's `rhat`, shape (*lead, *half_shape);
+    `points` (dim, M) need no reduction modulo the box. Returns (*lead,
+    M): the real part of the inverse DFT sum, each last-axis column
+    counted with its Hermitian multiplicity (1 at k = 0 and the Nyquist,
+    else 2). The sum contracts one axis at a time, last axis first, so it
+    runs no transform and costs O(M N^d); it is exact at grid nodes and
+    spectrally accurate between them.
     """
-    d = grid.dim
-    if d > 4:
-        raise ValueError("local sampling implemented for dim <= 4")
     points = np.asarray(points, dtype=float)
-    m_pts = points.shape[1]
-    npa = grid.points_per_axis
-    t = points / grid.spacing
-    base = np.floor(t).astype(int) - (_STENCIL // 2 - 1)
-    frac = t - base
-    weights = [_lagrange_weights(frac[k], _STENCIL) for k in range(d)]  # (M, s)
-    offsets = np.arange(_STENCIL)
-    index_arrays = []
-    for k in range(d):
-        shape = (m_pts,) + (1,) * k + (_STENCIL,) + (1,) * (d - 1 - k)
-        index_arrays.append(((base[k][:, None] + offsets) % npa).reshape(shape))
-    block = values[(Ellipsis,) + tuple(index_arrays)]  # (*lead, M, s, ..., s)
-    letters = "abcd"[:d]
-    subs = ("..." + "m" + letters + "," +
-            ",".join("m" + c for c in letters) + "->...m")
-    return np.einsum(subs, block, *weights)
+    # vecdot conjugates its first argument, so these are e^{-i xi x}.
+    # Unlike matmul it starts no BLAS threads: with another process busy
+    # on a 2-vCPU host, one 2D N=256 sum took 16 ms by matmul, 0.09 ms here
+    phase = [np.exp(-1j * np.multiply.outer(p, xi.ravel()))
+             for p, xi in zip(points, _frequencies(grid))]
+    out = np.vecdot(_column_multiplicity(grid) * phase[-1], hat[..., None, :])
+    for axis in reversed(range(grid.dim - 1)):
+        out = np.vecdot(phase[axis], np.swapaxes(out, -1, -2))
+    return out.real / grid.num_points

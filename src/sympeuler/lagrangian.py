@@ -29,7 +29,7 @@ import numpy as np
 from .eulerian import _check_finite, fast_force, rk4, step_count
 from .fields import ScalarField, VectorField
 from .grids import GridSpec
-from .interp import PeriodicInterpolator, _lagrange_weights
+from .interp import PeriodicInterpolator
 from .operators import jacobian, symplectic_matrix
 
 __all__ = [
@@ -189,6 +189,16 @@ def exp_map(u0: VectorField, dt: float = 0.01,
             cutoff_radius: float = 1.0) -> DiffeoMap:
     """Time-1 geodesic flow map from the identity with velocity u0."""
     return geodesic_integrate(u0, 1.0, dt, cutoff_radius).phi
+
+
+def _lagrange_weights(frac: np.ndarray, stencil: int) -> np.ndarray:
+    """Weights of shape (*frac.shape, stencil) for nodes 0..stencil-1: the
+    product over m of factors (frac - m) / (j - m), 1 where m = j."""
+    nodes = np.arange(stencil)
+    off = ~np.eye(stencil, dtype=bool)
+    gaps = np.where(off, nodes[:, None] - nodes, 1)           # j - m
+    factors = (frac[..., None, None] - nodes) / gaps
+    return np.where(off, factors, 1.0).prod(axis=-1)
 
 
 def flow_from_velocity(velocities: Iterable[VectorField],

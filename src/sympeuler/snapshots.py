@@ -28,44 +28,33 @@ class SnapshotError(ValueError):
     """Malformed snapshot header or truncated payload."""
 
 
-def _header_for(obj) -> tuple[dict, GridSpec]:
+def _header_and_stack(obj) -> tuple[dict, np.ndarray]:
+    """The snapshot header of obj and its (components, *shape) values."""
     if isinstance(obj, DiffeoMap):
-        grid = obj.grid
-        comps = grid.dim
+        values = obj.displacement.values
     elif isinstance(obj, VectorField):
-        grid = obj.grid
-        comps = obj.values.shape[0]
+        values = obj.values
     elif isinstance(obj, ScalarField):
-        grid = obj.grid
-        comps = 1
+        values = obj.values[None]
     else:
         raise TypeError(f"cannot snapshot {type(obj).__name__}")
+    grid = obj.grid
     return {
         "n": grid.n,
         "N": grid.points_per_axis,
         "L": grid.box_length,
         "representation": "physical",
-        "components": comps,
+        "components": values.shape[0],
         "map": isinstance(obj, DiffeoMap),
-    }, grid
+    }, values
 
 
 def write_snapshot(path, obj) -> None:
     """Writes a ScalarField, VectorField, or DiffeoMap atomically."""
-    header, grid = _header_for(obj)
-    if isinstance(obj, DiffeoMap):
-        values = obj.displacement.values
-    elif isinstance(obj, ScalarField):
-        values = obj.values[None]
-    else:
-        values = obj.values
-
-    blocks = []
-    for comp in values:
-        blocks.append(np.ascontiguousarray(comp, dtype=_LE64))
-
+    header, values = _header_and_stack(obj)
     head = (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
-    _atomic_write(path, head, *blocks)
+    _atomic_write(path, head, *(np.ascontiguousarray(comp, dtype=_LE64)
+                                for comp in values))
 
 
 def read_snapshot(path):

@@ -166,14 +166,21 @@ def _component_values(u) -> np.ndarray:
     raise TypeError(f"unsupported field type {type(u)!r}")
 
 
+@functools.lru_cache(maxsize=64)
+def _column_multiplicity(grid: GridSpec) -> np.ndarray:
+    """Hermitian multiplicity of each last-axis column of the half
+    lattice: 1 at k_last = 0 and N/2, else 2."""
+    mult = np.full(_half_shape(grid)[-1], 2.0)
+    mult[0] = mult[-1] = 1.0
+    return mult
+
+
 @functools.lru_cache(maxsize=8)
 def _sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
     """Parseval weights (1 + |xi|^2)^s on the half lattice, each column
-    counted with its Hermitian multiplicity (1 at k_last = 0, N/2; else 2)
-    and scaled so that s = 0 gives the literal L^2 box integral."""
-    mult = np.full(_half_shape(grid)[-1], 2.0)
-    mult[0] = mult[-1] = 1.0
-    weights = (1.0 + _xi_squared(grid)) ** s * mult
+    counted with its Hermitian multiplicity and scaled so that s = 0
+    gives the literal L^2 box integral."""
+    weights = (1.0 + _xi_squared(grid)) ** s * _column_multiplicity(grid)
     return weights * (grid.box_volume / grid.num_points**2)
 
 

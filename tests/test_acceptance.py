@@ -3,7 +3,8 @@
 Each test delegates to the packaged criterion runner (also reachable as
 ``sympeuler verify``) so the tolerances, draw counts, and time budgets
 live in exactly one place. Runtime is dominated by criterion 10; the
-whole file takes roughly ten minutes.
+whole file takes about two minutes (`sympeuler verify` took 104 to
+119 s on a 2-vCPU host).
 """
 
 from sympeuler.acceptance import run_criteria

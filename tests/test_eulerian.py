@@ -37,7 +37,7 @@ from sympeuler.initial_conditions import (
     random_vector,
     steady_shear,
 )
-from sympeuler.interp import local_lagrange_sample
+from sympeuler.interp import fourier_sample
 from sympeuler.operators import (
     constraint_force,
     jacobian,
@@ -63,7 +63,8 @@ def physical_loop(u0, t_final, dt, project_every=0, trace_points=None):
     def rhs(c, y):
         k = (fast_rhs(VectorField(grid, y[0])).values,)
         if len(y) > 1:
-            k += (local_lagrange_sample(grid, y[0], y[1] % grid.box_length),)
+            hat = np.fft.rfftn(y[0], axes=tuple(range(-grid.dim, 0)))
+            k += (fourier_sample(grid, hat, y[1]),)
         return k
 
     states = [y]
@@ -348,6 +349,22 @@ def test_trace_constant_advection(grid64):
     expect[0] += 0.5
     assert np.max(np.abs(res.trace[-1] - expect)) < 1e-10
     assert res.trace.shape == (11, 2, 3)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(n=1, points_per_axis=16),
+                                  GridSpec(n=2, points_per_axis=8)],
+                         ids=["2d-n16", "4d-n8"])
+def test_trace_steady_shear(grid):
+    # u = (A sin(xi_0 x_2), 0, ...) is steady and moves x_1 alone:
+    # x_1 + A sin(xi_0 x_2) t, to rounding when the stage velocities are
+    # the exact Fourier sum at off-grid points
+    A, T = 0.5, 1.0
+    pts = np.random.default_rng(60).uniform(0.0, grid.box_length,
+                                            (grid.dim, 6))
+    res = integrate(steady_shear(grid, A), T, 0.1, trace_points=pts)
+    expect = pts.copy()
+    expect[0] += A * np.sin(2.0 * np.pi * pts[1] / grid.box_length) * T
+    assert np.max(np.abs(res.trace[-1] - expect)) < 1e-12
 
 
 def test_iteration_layout(grid32):

@@ -1,12 +1,13 @@
 """The periodic spline interpolator: its one-pass coefficient build against
-the upsample-then-prefilter oracle, and its convergence in N."""
+the upsample-then-prefilter oracle, and its convergence in N; and the
+Fourier sum at traced points, against grid values and a closed form."""
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from sympeuler.grids import GridSpec
-from sympeuler.interp import PeriodicInterpolator
+from sympeuler.interp import PeriodicInterpolator, fourier_sample
 from sympeuler.spectral import spectral_upsample
 
 
@@ -56,3 +57,46 @@ def test_interpolation_error_converges_in_n():
     assert errors[0] / errors[1] >= 40.0
     assert errors[1] / errors[2] >= 40.0
     assert errors[2] < 1e-10
+
+
+_SAMPLE_GRIDS = [GridSpec(n=1, points_per_axis=16),
+                 GridSpec(n=1, points_per_axis=32, box_length=0.75),
+                 GridSpec(n=2, points_per_axis=8)]
+_SAMPLE_IDS = ["2d-n16", "2d-n32-l075", "4d-n8"]
+
+
+@pytest.mark.parametrize("grid", _SAMPLE_GRIDS, ids=_SAMPLE_IDS)
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["scalar", "stacked"])
+def test_fourier_sample_is_exact_at_nodes(grid, lead):
+    # white noise, Nyquist modes included; nodes shifted by whole boxes
+    # land on the same values
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(lead + grid.shape)
+    hat = np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)))
+    idx = rng.integers(0, grid.points_per_axis, (grid.dim, 7))
+    points = np.stack([grid.axis_coordinates[i] for i in idx])
+    points += grid.box_length * rng.integers(-2, 3, points.shape)
+    got = fourier_sample(grid, hat, points)
+    assert got.shape == lead + (7,)
+    np.testing.assert_allclose(got, values[(Ellipsis,) + tuple(idx)],
+                               rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("grid", _SAMPLE_GRIDS, ids=_SAMPLE_IDS)
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["scalar", "stacked"])
+def test_fourier_sample_matches_trig_polynomial(grid, lead):
+    # a trigonometric polynomial below the Nyquist is its own interpolant
+    xi0 = 2.0 * np.pi / grid.box_length
+
+    def f(x, c):
+        return (c + np.cos(xi0 * x[0] + 0.3) * np.sin(3.0 * xi0 * x[-1])
+                + 0.7 * np.cos(2.0 * xi0 * x[1] - xi0 * x[0]))
+
+    coefs = np.arange(1.0, 1.0 + np.prod(lead, dtype=int))
+    coefs = coefs.reshape(lead + (1,) * grid.dim)
+    values = f(grid.coordinate_stack(), coefs)
+    hat = np.fft.rfftn(values, axes=tuple(range(-grid.dim, 0)))
+    points = np.random.default_rng(12).uniform(-3.0, 3.0, (grid.dim, 9))
+    want = f(points, coefs.reshape(lead + (1,)))
+    np.testing.assert_allclose(fourier_sample(grid, hat, points), want,
+                               rtol=0.0, atol=1e-13)

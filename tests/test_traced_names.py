@@ -125,7 +125,8 @@ def test_flow_from_velocity_interpolator_counts(monkeypatch, steps, builds,
 def test_integrate_steps_through_module_attributes(monkeypatch):
     # the tracer's eulerian.fast_rhs span counts only calls looked up on
     # the module, four per RK4 step, and its fft spans only transforms
-    # called as numpy.fft attributes: the kernel's four per stage
+    # called as numpy.fft attributes: the kernel's four per stage. Traced
+    # points are summed from the stage spectrum, so they add no transform
     tracer = _load("tracer")
     calls = []
 
@@ -142,11 +143,14 @@ def test_integrate_steps_through_module_attributes(monkeypatch):
     grid = GridSpec(n=1, points_per_axis=32)
     u = 0.1 * random_symplectic(grid, seed=3, decay=1.0)
     counts = []
-    for steps in (3, 4):
-        calls.clear()
-        # a fresh u0: its cached spectrum would save the second run a pass
-        u0 = VectorField(grid, u.values)
-        eulerian.integrate(u0, 0.05 * steps, 0.05, diag_every=10**9)
-        counts.append((calls.count("fast_rhs"), calls.count("fft")))
-    assert [c for c, _ in counts] == [4 * 3, 4 * 4]
+    for points in (None, np.full((grid.dim, 3), 0.4)):
+        for steps in (3, 4):
+            calls.clear()
+            # a fresh u0: its cached spectrum would save the second run a pass
+            u0 = VectorField(grid, u.values)
+            eulerian.integrate(u0, 0.05 * steps, 0.05, diag_every=10**9,
+                               trace_points=points)
+            counts.append((calls.count("fast_rhs"), calls.count("fft")))
+    assert [c for c, _ in counts[:2]] == [4 * 3, 4 * 4]
     assert counts[1][1] - counts[0][1] == 4 * 4
+    assert counts[2:] == counts[:2]
