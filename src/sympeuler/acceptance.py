@@ -304,22 +304,17 @@ def criterion_9() -> tuple[bool, str]:
 
 
 def criterion_10() -> tuple[bool, str]:
-    config = build_nonuniform_config()
-    report = run_nonuniform(config)
-    rows = report.rows
-
+    rows, constants = run_nonuniform(build_nonuniform_config())
     input_err = max(abs(r.input_dist_hs - 1.0 / r.k) * r.k for r in rows)
-    gaps = [r.output_gap_hs for r in rows]
-    floor = min(gaps)
-    floor_ratio = floor / gaps[0]
-    m_star = config.m_star
+    floor_ratio = constants["gap_floor_over_k1"]
+    m_star = constants["m_star"]
     sep_ok = all(m_star / (2 * r.k) <= r.separation <= 3 * m_star / r.k
                  for r in rows)
     ok = input_err <= 1e-6 and floor_ratio >= 0.05 and sep_ok
     return ok, (f"K={len(rows)}, input_err={input_err:.2e}, "
                 f"gap_floor/gap1={floor_ratio:.3f} (>=0.05), "
                 f"separations within [m*/2k, 3m*/k]={sep_ok}, "
-                f"m*={m_star:.6f}, R_used={config.R_used:.3f}")
+                f"m*={m_star:.6f}, R_used={constants['R_used']:.3f}")
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .eulerian import (
 )
 from .experiments import (
     ExperimentFailure,
+    NonuniformRow,
     ResolutionGuardError,
     build_nonuniform_config,
     oracle_2d_solve,
@@ -199,10 +200,10 @@ def cmd_experiment(args) -> int:
                 f"k={row.k} input={row.input_dist_hs:.6g} "
                 f"gap={row.output_gap_hs:.6g} sep={row.separation:.6g}",
                 flush=True)
-        report = run_nonuniform(
-            ncfg, csv_path=os.path.join(out, "nonuniform.csv"),
-            json_path=os.path.join(out, "constants.json"),
-            progress=progress)
+        report = run_nonuniform(ncfg, progress=progress)
+        write_diagnostics_csv(os.path.join(out, "nonuniform.csv"),
+                              report.rows, columns=NonuniformRow._fields)
+        write_json(os.path.join(out, "constants.json"), report.constants)
         _say(args, f"gap_floor={report.constants['gap_floor']:.6g}")
         return EXIT_OK
     if args.kind == "oracle2d":

@@ -337,19 +337,24 @@ def diagnostics(state: EulerianState, s: float,
                      out=phys[d:d + d * d]).reshape((d, d) + grid.shape)
     # P = omega^T J - J^T omega, whose (i, j) entry is sigma_i (J_{p(i) j}
     # - sigma_i sigma_j J_{p(j) i}); both triangles count in the Frobenius
-    # norm. The planes go to the kernel's product rows, free between calls
+    # norm. The planes go to the kernel's product rows, free between calls.
+    # Sums of squares by einsum, not vdot: OpenBLAS splits vdot's sum by
+    # thread, so the last digits would follow the BLAS thread count
     p_sq = 0.0
     for i in range(d):
         for j in range(i + 1, d):
             combine = np.subtract if _sign(i) == _sign(j) else np.add
-            entry = combine(J[_partner(i), j], J[_partner(j), i], out=work[0])
-            p_sq += float(np.vdot(entry, entry))
+            entry = combine(J[_partner(i), j], J[_partner(j), i],
+                            out=work[0]).ravel()
+            p_sq += float(np.einsum("i,i->", entry, entry))
     p_res = math.sqrt(2.0 * p_sq * grid.cell_volume)
     sdiv = np.subtract(J[0, 1], J[1, 0], out=work[1])
     for a in range(1, grid.n):
         sdiv += J[2 * a, 2 * a + 1]
         sdiv -= J[2 * a + 1, 2 * a]
-    sdiv_l2 = math.sqrt(float(np.vdot(sdiv, sdiv)) * grid.cell_volume)
+    flat = sdiv.ravel()
+    sdiv_l2 = math.sqrt(float(np.einsum("i,i->", flat, flat))
+                        * grid.cell_volume)
     sdiv_linf = float(max(sdiv.max(), -sdiv.min()))
     integrand = math.sqrt(float(
         np.einsum("ij...,ij...->...", J, J, out=work[0]).max()))

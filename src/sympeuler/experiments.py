@@ -10,8 +10,10 @@ Three families:
   around a point x_star plus a fixed probe direction w_star/k separate
   the time-1 flows by ~m_star/k while the initial distance is 1/k.
 
-All constants in the experiment (C1..C5, m_star) are measured, logged in
-a JSON sidecar, and never asserted a priori.
+All constants in the experiment (C1..C5, m_star) are measured, never
+asserted a priori, and kept in one dict: the probe phase's numbers live
+only there, run_nonuniform reads them back from it, and the CLI writes it
+as constants.json beside the rows' nonuniform.csv.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from .eulerian import (
     integrate,
     max_speed,
     step_count,
-    write_diagnostics_csv,
-    write_json,
 )
 from .fields import ScalarField, VectorField
 from .grids import GridSpec
@@ -75,7 +75,6 @@ __all__ = [
     "NonuniformRow",
     "NonuniformReport",
     "exp_via_flow",
-    "find_probe_direction",
     "build_nonuniform_config",
     "run_nonuniform",
 ]
@@ -236,26 +235,14 @@ def probe_report(s: float = 3.0) -> dict:
         lhs, terms = log_estimate_probe(log_probe_family(grid, level), s)
         log_rows.append(lhs / sum(terms))
 
-    return {
-        "commutator": {
-            "constant": max(comm),
-            "stability": _prefix_stability(comm),
-            "sweep": comm,
-            "wavenumbers": waves,
-        },
-        "disjoint_support": {
-            "constant": max(disjoint),
-            "stability": _prefix_stability(disjoint),
-            "sweep": disjoint,
-            "distances": distances,
-        },
-        "log_estimate": {
-            "constant": max(log_rows),
-            "stability": _prefix_stability(log_rows),
-            "sweep": log_rows,
-            "levels": list(range(1, max_level + 1)),
-        },
-    }
+    table = (("commutator", "wavenumbers", waves, comm),
+             ("disjoint_support", "distances", distances, disjoint),
+             ("log_estimate", "levels", list(range(1, max_level + 1)),
+              log_rows))
+    return {name: {"constant": max(sweep),
+                   "stability": _prefix_stability(sweep),
+                   "sweep": sweep, x_key: x_values}
+            for name, x_key, x_values, sweep in table}
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +275,7 @@ def find_probe_direction(u_star: VectorField, candidates, epsilon: float,
     exponential by exp_via_flow at the shared step dt; picks the candidate
     and point with the largest response.
 
-    Returns (w_star, x_star, m_star, index). Responses within a relative
+    Returns (x_star, m_star, index). Responses within a relative
     1e-9 of the largest tie, and the first tied candidate wins, so
     rounding cannot pick the direction. The responses compare only if the
     candidates share one H^s norm, which is not checked here: the one
@@ -316,21 +303,15 @@ def find_probe_direction(u_star: VectorField, candidates, epsilon: float,
     flat = int(np.argmin(np.where(tied, dist2, np.inf)))
     idx_nd = np.unravel_index(flat, grid.shape)
     x_star = np.array([grid.axis_coordinates[i] for i in idx_nd])
-    return candidates[idx], x_star, m_star, idx
+    return x_star, m_star, idx
 
 
 @dataclasses.dataclass
 class NonuniformConfig:
     grid: GridSpec
-    s: float
-    R_used: float
-    K: int
-    x_star: np.ndarray
     u_star: VectorField
     w_star: VectorField
-    m_star: float
-    radii: np.ndarray
-    constants: dict
+    constants: dict             # the probe phase's numbers; constants.json
     cfl: float                  # of every paired solve in run_nonuniform
 
 
@@ -343,18 +324,9 @@ class NonuniformRow(NamedTuple):
     r_k: float
 
 
-@dataclasses.dataclass
-class NonuniformReport:
+class NonuniformReport(NamedTuple):
     rows: list
     constants: dict
-
-    COLUMNS = NonuniformRow._fields
-
-    def write_csv(self, path) -> None:
-        write_diagnostics_csv(path, self.rows, columns=self.COLUMNS)
-
-    def write_json(self, path) -> None:
-        write_json(path, self.constants)
 
 
 def _candidate_builders(s: float):
@@ -366,9 +338,8 @@ def _candidate_builders(s: float):
         return build
 
     def trig(grid):
-        H = trig_potential(grid, [{"amplitude": 1.0,
-                                   "mode": [1] * grid.dim, "phase": 0.0}])
-        return scale_to_sobolev(symplectic_gradient(H), s, 1.0)
+        return scale_to_sobolev(symplectic_gradient(trig_potential(grid)),
+                                s, 1.0)
 
     return [("constant_0", const(0)), ("constant_1", const(1)),
             ("trig_diag", trig)]
@@ -469,7 +440,7 @@ def build_nonuniform_config(grid: GridSpec | None = None,
         max_speed(f) for f in probe_candidates + [delta])
     probe_dt = dt_for_speed(probe_grid, speed, 1.0, cfl)
 
-    _, x_star, m_star, idx = find_probe_direction(
+    x_star, m_star, idx = find_probe_direction(
         u_star_probe, probe_candidates, epsilon, probe_dt)
     w_star_probe = probe_candidates[idx]
 
@@ -504,26 +475,26 @@ def build_nonuniform_config(grid: GridSpec | None = None,
         "radii": [float(r) for r in radii],
         "probe_points_per_axis": probe_grid.points_per_axis,
     })
-    return NonuniformConfig(
-        grid=grid, s=s, R_used=r_used, K=K, x_star=x_star, u_star=u_star,
-        w_star=w_star, m_star=m_star, radii=radii, constants=constants,
-        cfl=cfl)
+    return NonuniformConfig(grid=grid, u_star=u_star, w_star=w_star,
+                            constants=constants, cfl=cfl)
 
 
-def run_nonuniform(config: NonuniformConfig, csv_path=None, json_path=None,
+def run_nonuniform(config: NonuniformConfig,
                    progress=None) -> NonuniformReport:
-    """Runs the K paired time-1 solves and assembles the report.
+    """Runs the K paired time-1 solves, one per radius in the constants,
+    and returns the rows with the constants extended by the gap floor.
 
     Asserts the separation bracket m_star/(2k) <= |phi_tilde(x_star) -
     phi(x_star)| <= 3 m_star/k; everything else is recorded, not judged.
     """
-    grid, s = config.grid, config.s
-    pts = config.x_star.reshape(-1, 1)
+    grid, c = config.grid, config.constants
+    s, m_star = c["s"], c["m_star"]
+    x_star = np.array(c["x_star"])
+    pts = x_star.reshape(-1, 1)
     rows = []
-    for k in range(1, config.K + 1):
-        r_k = float(config.radii[k - 1])
-        vk_raw = bump_symplectic(grid, config.x_star, r_k)
-        v_k = scale_to_sobolev(vk_raw, s, config.R_used / 2.0)
+    for k, r_k in enumerate(c["radii"], start=1):
+        vk_raw = bump_symplectic(grid, x_star, r_k)
+        v_k = scale_to_sobolev(vk_raw, s, c["R_used"] / 2.0)
         u0 = VectorField(grid, config.u_star.values + v_k.values)
         u0_tilde = VectorField(grid, u0.values + config.w_star.values / k)
         runs = []
@@ -541,7 +512,7 @@ def run_nonuniform(config: NonuniformConfig, csv_path=None, json_path=None,
                         - symplectic_divergence(base.state.u).values),
             s - 1.0)
         separation = float(np.linalg.norm(tilde.trace[-1] - base.trace[-1]))
-        lower, upper = config.m_star / (2.0 * k), 3.0 * config.m_star / k
+        lower, upper = m_star / (2.0 * k), 3.0 * m_star / k
         if not lower <= separation <= upper:
             raise ExperimentFailure(
                 f"k={k}: separation {separation:.6g} outside "
@@ -550,14 +521,9 @@ def run_nonuniform(config: NonuniformConfig, csv_path=None, json_path=None,
                                   separation, r_k))
         if progress is not None:
             progress(rows[-1])
-    constants = dict(config.constants)
+    constants = dict(c)
     gaps = [r.output_gap_hs for r in rows]
     constants["gap_floor"] = min(gaps)
     constants["gap_floor_over_k1"] = min(gaps) / gaps[0]
     constants["C_floor"] = constants["C1"] * constants["C4"]
-    report = NonuniformReport(rows, constants)
-    if csv_path is not None:
-        report.write_csv(csv_path)
-    if json_path is not None:
-        report.write_json(json_path)
-    return report
+    return NonuniformReport(rows, constants)

@@ -125,26 +125,25 @@ def trig_potential(grid: GridSpec, terms=None) -> ScalarField:
     return ScalarField(grid, vals)
 
 
-def _wrapped_offsets(grid: GridSpec, center) -> list[np.ndarray]:
-    """Minimal-image coordinate offsets x_k - center_k, per axis (sparse)."""
+def _bump_support(grid: GridSpec, center, radius: float):
+    """Checks the radius once; returns the minimal-image offsets x_k -
+    center_k per axis (sparse), the mask q < 1 with q = |x-center|/radius,
+    and q^2 - 1 inside it (-1 outside, so 1/(q^2-1) stays finite)."""
+    if not 0 < radius < grid.box_length / 4:
+        raise ValueError("radius must lie in (0, box_length/4)")
     L = grid.box_length
-    out = []
-    for k, x in enumerate(grid.coordinate_arrays()):
-        dx = (x - float(center[k]) + 0.5 * L) % L - 0.5 * L
-        out.append(dx)
-    return out
+    offsets = [(x - float(center[k]) + 0.5 * L) % L - 0.5 * L
+               for k, x in enumerate(grid.coordinate_arrays())]
+    q2 = sum(dx * dx for dx in offsets) / radius**2
+    inside = q2 < 1.0
+    return offsets, inside, np.where(inside, q2 - 1.0, -1.0)
 
 
 def bump(grid: GridSpec, center, radius: float, amplitude: float = 1.0
          ) -> ScalarField:
     """C^infinity bump A*exp(1/(q^2-1)), q = |x-center|/radius; exactly
     zero at grid points with q >= 1."""
-    if not 0 < radius < grid.box_length / 4:
-        raise ValueError("radius must lie in (0, box_length/4)")
-    offsets = _wrapped_offsets(grid, center)
-    q2 = sum(dx * dx for dx in offsets) / radius**2
-    inside = q2 < 1.0
-    safe = np.where(inside, q2 - 1.0, -1.0)
+    _, inside, safe = _bump_support(grid, center, radius)
     vals = np.where(inside, amplitude * np.exp(1.0 / safe), 0.0)
     return ScalarField(grid, vals)
 
@@ -152,10 +151,7 @@ def bump(grid: GridSpec, center, radius: float, amplitude: float = 1.0
 def _bump_gradient_values(grid: GridSpec, center, radius: float,
                           amplitude: float) -> np.ndarray:
     """Analytic gradient of bump(); same exact support."""
-    offsets = _wrapped_offsets(grid, center)
-    q2 = sum(dx * dx for dx in offsets) / radius**2
-    inside = q2 < 1.0
-    safe = np.where(inside, q2 - 1.0, -1.0)
+    offsets, inside, safe = _bump_support(grid, center, radius)
     # d/dx_j A e^{1/(q^2-1)} = -2 A e^{1/(q^2-1)} dx_j / (r^2 (q^2-1)^2)
     common = np.where(inside,
                       -2.0 * amplitude * np.exp(1.0 / safe) / (radius**2 * safe**2),
@@ -170,8 +166,6 @@ def bump_symplectic(grid: GridSpec, center, radius: float,
                     amplitude: float = 1.0) -> VectorField:
     """Symplectic gradient of a bump, computed analytically so the
     support is exactly the closed ball."""
-    if not 0 < radius < grid.box_length / 4:
-        raise ValueError("radius must lie in (0, box_length/4)")
     grad = _bump_gradient_values(grid, center, radius, amplitude)
     vals = np.empty_like(grad)
     for a in range(grid.n):

@@ -20,7 +20,11 @@ from sympeuler.config import (
     load_config,
     parse_run_config,
 )
-from sympeuler.experiments import ExperimentFailure, build_nonuniform_config
+from sympeuler.experiments import (
+    ExperimentFailure,
+    NonuniformRow,
+    build_nonuniform_config,
+)
 from sympeuler.operators import omega_deformation
 from sympeuler.snapshots import read_snapshot
 from sympeuler.spectral import sobolev_norm
@@ -443,6 +447,41 @@ def test_cli_foreign_errors_keep_their_traceback(tmp_path, monkeypatch):
     fail_nonuniform(monkeypatch, ValueError("a bug"))
     with pytest.raises(ValueError, match="a bug"):
         run_cli("experiment", "nonuniform", "--out", str(tmp_path), "--quiet")
+
+
+def test_cli_experiment_nonuniform_writes_outputs(tmp_path):
+    cfg = write_cfg(tmp_path, {
+        "grid": {"points_per_axis": 96, "box_length": 0.75},
+        "time": {"cfl": 0.5}, "experiment": {"K": 1}})
+    assert run_cli("experiment", "nonuniform", "--config", cfg,
+                   "--out", str(tmp_path), "--quiet") == 0
+    with open(tmp_path / "nonuniform.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert tuple(rows[0]) == NonuniformRow._fields
+    assert len(rows) == 2 and rows[1][0] == "1"
+    constants = json.loads((tmp_path / "constants.json").read_text())
+    assert set(constants) == {
+        "C1", "C2", "C3", "C4", "C5", "m_star", "base_max_speed",
+        "probe_max_speed", "x_star", "R", "R_used", "s", "K", "candidate",
+        "radii", "probe_points_per_axis", "gap_floor", "gap_floor_over_k1",
+        "C_floor"}
+    assert constants["gap_floor"] == float(rows[1][2])   # output_gap_hs
+    assert constants["radii"] == [float(rows[1][5])]     # r_k
+    # the file's m* is the one the run's separation bracket used
+    assert abs(float(rows[1][4]) / constants["m_star"] - 1.0) <= 1e-7
+
+
+def test_cli_experiment_probes_writes_json(tmp_path):
+    assert run_cli("experiment", "probes", "--out", str(tmp_path),
+                   "--quiet") == 0
+    report = json.loads((tmp_path / "probes.json").read_text())
+    x_keys = {"commutator": "wavenumbers", "disjoint_support": "distances",
+              "log_estimate": "levels"}
+    assert set(report) == set(x_keys)
+    for name, block in report.items():
+        assert set(block) == {"constant", "stability", "sweep", x_keys[name]}
+        assert block["constant"] == max(block["sweep"])
+        assert len(block[x_keys[name]]) == len(block["sweep"])
 
 
 def test_cli_eulerian_dt_must_divide_t_final(tmp_path, capsys):

@@ -1,7 +1,5 @@
 """Probes, the 2D oracle, and the nonuniform-continuity experiment."""
 
-import csv
-import json
 import math
 import types
 
@@ -12,7 +10,6 @@ from conftest import rel_err
 from sympeuler import experiments
 from sympeuler.eulerian import DiscretizationFailure, cfl_timestep, integrate
 from sympeuler.experiments import (
-    NonuniformReport,
     ResolutionGuardError,
     build_nonuniform_config,
     commutator_sweep,
@@ -268,7 +265,8 @@ def test_probe_direction_at_rest_recovers_candidate_max():
     # response is the candidate's largest pointwise speed
     cands = [unit_constant(BOX)]
     z = VectorField(BOX, np.zeros((2,) + BOX.shape))
-    w, x_star, m_star, idx = find_probe_direction(z, cands, 0.05, dt=0.05)
+    x_star, m_star, idx = find_probe_direction(z, cands, 0.05, dt=0.05)
+    w = cands[idx]
     mag = np.sqrt(np.einsum("i...,i...->...", w.values, w.values))
     assert m_star == pytest.approx(float(mag.max()), rel=1e-10)
     # constant direction ties everywhere; tie-break lands on the center
@@ -286,8 +284,8 @@ def test_probe_direction_tie_rule(monkeypatch, lead, want):
     base = unit_constant(BOX)
     cands = [base, VectorField(BOX, (1.0 + lead) * base.values[::-1])]
     z = VectorField(BOX, np.zeros((2,) + BOX.shape))
-    w, _, m_star, idx = find_probe_direction(z, cands, 0.05, dt=0.05)
-    assert idx == want and w is cands[want]
+    _, m_star, idx = find_probe_direction(z, cands, 0.05, dt=0.05)
+    assert idx == want
     speed = float(np.max(np.abs(base.values)))
     assert m_star == pytest.approx(speed * (1.0 + (lead if want else 0.0)),
                                    rel=1e-13)
@@ -300,8 +298,8 @@ def test_probe_direction_translation_equivariance():
     shift = 5 * BOX.spacing
     u1 = bump_base(BOX, center)
     u2 = bump_base(BOX, center + np.array([shift, 0.0]))
-    _, x1, m1, _ = find_probe_direction(u1, cands, 0.05, dt=0.05)
-    _, x2, m2, _ = find_probe_direction(u2, cands, 0.05, dt=0.05)
+    x1, m1, _ = find_probe_direction(u1, cands, 0.05, dt=0.05)
+    x2, m2, _ = find_probe_direction(u2, cands, 0.05, dt=0.05)
     assert abs(m1 - m2) < 1e-12 * m1
     assert np.allclose(x2, (x1 + np.array([shift, 0.0])) % BOX.box_length,
                        atol=1e-12)
@@ -312,7 +310,7 @@ def test_probe_direction_epsilon_refinement():
     # error by at least the second-order factor
     cands = [unit_constant(BOX)]
     u = bump_base(BOX, np.full(2, 0.375))
-    ms = [find_probe_direction(u, cands, eps, dt=0.05)[2]
+    ms = [find_probe_direction(u, cands, eps, dt=0.05)[1]
           for eps in (0.1, 0.05, 0.025)]
     d1, d2 = abs(ms[0] - ms[1]), abs(ms[1] - ms[2])
     assert d1 < 1e-5
@@ -323,33 +321,27 @@ def test_probe_direction_epsilon_refinement():
 # nonuniform experiment
 
 
-def test_nonuniform_single_stage(tmp_path):
+def test_nonuniform_single_stage():
     grid = GridSpec(n=1, points_per_axis=96, box_length=0.75)
     cfg = build_nonuniform_config(grid=grid, K=1, seed=7)
-    assert 8.0 * grid.spacing <= cfg.radii[0] < grid.box_length / 4.0
-    csv_path = tmp_path / "rows.csv"
-    json_path = tmp_path / "constants.json"
-    report = run_nonuniform(cfg, csv_path=csv_path, json_path=json_path)
-    row = report.rows[0]
+    m_star, r_1 = cfg.constants["m_star"], cfg.constants["radii"][0]
+    assert 8.0 * grid.spacing <= r_1 < grid.box_length / 4.0
+    rows, constants = run_nonuniform(cfg)
+    assert len(rows) == 1
+    row = rows[0]
     assert abs(row.input_dist_hs - 1.0) < 1e-8      # ||w*/1||_{H^s} = 1
     assert row.output_gap_hs > 0.0
     # one bump (k = 1): the traced trajectories part by m* to 1e-7
-    assert abs(row.separation / cfg.m_star - 1.0) <= 1e-7
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert tuple(rows[0]) == NonuniformReport.COLUMNS
-    assert len(rows) == 2
-    sidecar = json.loads(json_path.read_text())
+    assert abs(row.separation / m_star - 1.0) <= 1e-7
     for key in ("C1", "C2", "C3", "C4", "C5", "m_star", "x_star", "R",
                 "R_used", "gap_floor", "gap_floor_over_k1", "base_max_speed",
                 "probe_max_speed"):
-        assert key in sidecar
-    assert sidecar["m_star"] == pytest.approx(cfg.m_star)
+        assert key in constants
     speed = lambda u: np.max(np.hypot(u.values[0], u.values[1]))
-    assert sidecar["base_max_speed"] == pytest.approx(speed(cfg.u_star))
-    assert sidecar["probe_max_speed"] == pytest.approx(speed(cfg.w_star))
+    assert constants["base_max_speed"] == pytest.approx(speed(cfg.u_star))
+    assert constants["probe_max_speed"] == pytest.approx(speed(cfg.w_star))
     # the constant probe direction: its speed is the measured m_star
-    assert sidecar["probe_max_speed"] == pytest.approx(cfg.m_star, rel=1e-6)
+    assert constants["probe_max_speed"] == pytest.approx(m_star, rel=1e-6)
 
 
 def test_nonuniform_c3_does_not_depend_on_the_probe_step():
