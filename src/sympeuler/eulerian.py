@@ -426,6 +426,10 @@ class Integration:
         default_factory=list, init=False)
     trace: np.ndarray | None = dataclasses.field(default=None, init=False)
 
+    def __len__(self) -> int:
+        """The number of samples an iteration yields: steps + 1."""
+        return step_count(self.t_final, self.dt) + 1
+
     def __iter__(self) -> Iterator[VectorField]:
         grid, dt = self.u0.grid, self.dt
         steps = step_count(self.t_final, dt)

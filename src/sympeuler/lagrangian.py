@@ -12,16 +12,20 @@ inverse of a finished map. The geodesic field, and the reconstruction
 of a flow map from Eulerian velocity samples, step through eulerian.rk4,
 the stepper of the Eulerian integrator, so the two formulations are
 integrated by the same arithmetic. The reconstruction takes the samples
-as an Eulerian run yields them, keeping the spectra of at most four, and
-steps at 4*dt, or 2*dt over a remainder of two intervals: the middle
-sample is the exact RK4 midpoint, and only an odd last interval needs a
-midpoint interpolated in time.
+as an Eulerian run yields them, keeping the spectra of at most four.
+Each step spans an even number of intervals, so its middle sample is the
+exact RK4 midpoint, and only an odd last interval needs a midpoint
+interpolated in time. Steps start at 4*dt and double, up to 16*dt, while
+the step's own stage slopes show a uniform flow: their spread, e = h
+max(|k2 - k3|, |k1 - 2 k2 + k4|) / dx grid cells, must keep 8 e <= 1e-8.
+A nearly rigid translation, such as the nonuniform experiment's probe
+flows (e <= 2.1e-10), grows to 16*dt; a sheared or time-varying flow
+(criterion 4, e >= 2.2e-5) stays at 4*dt, bit for bit as a fixed width.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 from typing import Iterable
 
 import numpy as np
@@ -100,7 +104,9 @@ def _apply(A: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 _INVERT_TOL = 1e-10     # max-norm change of psi between sweeps at convergence
 _INVERT_MAX_ITER = 200
-_FLOW_STRIDE = 4        # sample intervals per flow_from_velocity step
+_FLOW_STRIDE = 4        # sample intervals of flow_from_velocity's first step
+_MAX_STRIDE = 16        # its widest step, reached by doubling
+_GROWTH_TOL = 1e-8      # the width doubles while 8 e stays below this (cells)
 
 
 def invert(phi: DiffeoMap) -> DiffeoMap:
@@ -201,55 +207,105 @@ def _lagrange_weights(frac: np.ndarray, stencil: int) -> np.ndarray:
     return np.where(off, factors, 1.0).prod(axis=-1)
 
 
+def _flow_step(y: tuple, start: PeriodicInterpolator, mid: np.ndarray,
+               end: np.ndarray, h: float):
+    """One RK4 step of width h of the flow points y[0] through the start
+    interpolator and the midpoint and end spectra.
+
+    Returns the new points, the end interpolator, which starts the next
+    step, and the step's indicator e = h max(|k2 - k3|, |k1 - 2 k2 +
+    k4|) / dx in grid cells, read off the stage slopes k1..k4. The middle
+    two and the slopes are freed on return, before the next samples are
+    computed and their interpolators built.
+    """
+    grid = start.grid
+    fields = {0.0: start, 0.5: PeriodicInterpolator(grid, mid),
+              1.0: PeriodicInterpolator(grid, end)}
+    slopes = []
+
+    def rhs(c, y):  # the stage offset picks the field: start, midpoint or end
+        slopes.append(fields[c](y[0]))
+        return (slopes[-1],)
+
+    y = rk4(rhs, y, h)
+    k1, k2, k3, k4 = slopes
+    variation = max(np.max(np.abs(k2 - k3)),
+                    np.max(np.abs(k1 - 2.0 * k2 + k4)))
+    return y, fields[1.0], h * float(variation) / grid.spacing
+
+
 def flow_from_velocity(velocities: Iterable[VectorField],
                        dt: float) -> DiffeoMap:
     """Integrates phi_t = u(t) o phi from velocity samples as they arrive.
 
-    The i-th sample is u at t = i*dt; any iterable serves, an Integration
-    run included. Only the half spectra (rhat) of at most four samples
-    are kept, and a sample's values are never read. The
-    flow is smooth in time, so it steps at 4*dt over groups of four
-    intervals, whose middle sample is the exact RK4 midpoint: stage c=0
-    takes sample i, c=1/2 sample i+2 and c=1 sample i+4. A remainder of
-    two intervals takes one 2*dt step the same way, an odd one ends with
-    a dt step whose midpoint is cubic in time through the last (up to)
-    four samples. On a flow_probe member (N=128, displacement 0.065),
-    against samples every dt/4, strides 2, 4 and 8 erred by 8.9e-15,
-    1.3e-13 and 2.6e-13: 4 stays two orders below the spline floor.
+    The i-th sample is u at t = i*dt. velocities is a sized iterable, a
+    list or an Integration run, read once: its length fixes the schedule
+    before the first sample arrives. Only the half spectra (rhat) of a
+    step's midpoint and end samples are kept, plus the last four for an
+    odd tail, and a sample's values are never read.
+
+    A step of even width w intervals takes sample i at stage c=0, i+w/2
+    (the exact RK4 midpoint) at c=1/2 and i+w at c=1. Its width is
+    min(width, remaining), less one when odd and above 1; an odd last
+    interval is a dt step whose midpoint is cubic in time through the
+    last (up to) four samples. width starts at _FLOW_STRIDE (4) and after
+    each step doubles, up to _MAX_STRIDE (16), while 8 e <= _GROWTH_TOL
+    (1e-8), e being the step's indicator (see _flow_step); otherwise it
+    returns to 4. Both terms of e vanish for a uniform translation, which
+    RK4 integrates exactly at any width: the first sees variation across
+    the stage points, the second variation in time alone (for u = f(t) it
+    is f0 - 2 f1/2 + f1). Both scale like h^3, so 8 e predicts the doubled
+    step's e. Measured e: at most 2.1e-10 on the flow_probe members
+    (seeds 1-3); at least 2.2e-5 on criterion 4's steps, 2.2e-4 on a 2D
+    N=32 random run at 4*dt and 1.1e-3 on shears that grow in time, which
+    all keep width 4. At a threshold of 1e-7 the p_w flow of the
+    constants C3/C4 grew too far (C4 moved 2.6e-6 from a stride-2
+    reference); at 1e-8 it moved 3.5e-8. At width 4, on a flow_probe
+    member (N=128, displacement 0.065) against samples every dt/4,
+    strides 2, 4 and 8 erred by 8.9e-15, 1.3e-13 and 2.6e-13.
     """
-    samples = iter(velocities)
-    first = next(samples, None)
-    if first is None:
+    try:
+        intervals = len(velocities) - 1
+    except TypeError:
+        raise TypeError("flow_from_velocity needs the sample count up "
+                        "front: pass a sized iterable (one with a length), "
+                        "such as a list or an Integration run") from None
+    if intervals < 1:
         raise ValueError("need at least two velocity samples")
+    # an odd tail's cubic midpoint reads samples tail_from..intervals
+    tail_from = max(intervals - 3, 0) if intervals % 2 else intervals + 1
+    samples, read, tail = iter(velocities), -1, []
+
+    def sample(index):  # sample `index`, read in order
+        nonlocal read
+        for u in samples:
+            read += 1
+            if read >= tail_from:
+                tail.append(u.rhat)
+            if read == index:
+                return u
+        raise ValueError(f"velocities yielded {read + 1} samples, "
+                         f"not its length {intervals + 1}")
+
+    def spectra(done, span):  # midpoint and end spectra of a step
+        if span > 1:
+            return sample(done + span // 2).rhat, sample(done + span).rhat
+        end = sample(intervals).rhat
+        w = _lagrange_weights(np.asarray(len(tail) - 1.5), len(tail))
+        return sum(wj * v for wj, v in zip(w, tail)), end
+
+    first = sample(0)
     grid = first.grid
     coords = grid.coordinate_stack()
-    recent = deque([first.rhat], maxlen=4)
-
-    def spans():  # (midpoint, end, intervals) of each step, as its end arrives
-        pending = 0
-        for u in samples:
-            recent.append(u.rhat)
-            pending = (pending + 1) % _FLOW_STRIDE
-            if not pending:
-                yield recent[1], recent[3], _FLOW_STRIDE
-        if pending >= 2:
-            yield recent[-pending], recent[1 - pending], 2
-        if pending % 2:
-            w = _lagrange_weights(np.asarray(len(recent) - 1.5), len(recent))
-            yield sum(wj * v for wj, v in zip(w, recent)), recent[-1], 1
-
-    y, steps = (coords,), 0
-    fields = {0.0: PeriodicInterpolator(grid, recent[0])}
-    for mid, end, span in spans():
-        steps += span
-        fields[0.5] = PeriodicInterpolator(grid, mid)
-        fields[1.0] = PeriodicInterpolator(grid, end)
-        # the stage offset picks the field: start, midpoint or end
-        y = rk4(lambda c, y: (fields[c](y[0]),), y, span * dt)
-        _check_finite(steps * dt, y, "flow map")
-        # the end field carries over; the other two are freed before the
-        # next samples are computed and their interpolators built
-        fields = {0.0: fields[1.0]}
-    if steps == 0:
-        raise ValueError("need at least two velocity samples")
+    start = PeriodicInterpolator(grid, first.rhat)
+    y, done, width = (coords,), 0, _FLOW_STRIDE
+    while done < intervals:
+        span = min(width, intervals - done)
+        if span > 1:
+            span -= span % 2
+        y, start, e = _flow_step(y, start, *spectra(done, span), span * dt)
+        done += span
+        _check_finite(done * dt, y, "flow map")
+        width = (min(2 * width, _MAX_STRIDE) if 8.0 * e <= _GROWTH_TOL
+                 else _FLOW_STRIDE)
     return DiffeoMap(grid, VectorField(grid, y[0] - coords))

@@ -1,4 +1,5 @@
-"""Shared fixtures: small grids and a relative-error helper."""
+"""Shared fixtures: small grids, a relative-error helper and a one-shot
+sized iterable."""
 
 import numpy as np
 import pytest
@@ -27,3 +28,17 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     den = max(float(np.linalg.norm(np.ravel(a))),
               float(np.linalg.norm(np.ravel(b))), 1e-300)
     return num / den
+
+
+class OneShot:
+    """A sized iterable that yields its items once, as a run does: a
+    second pass finds the iterator spent and yields nothing."""
+
+    def __init__(self, items, length: int):
+        self._items, self._length = iter(items), length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self):
+        return self._items

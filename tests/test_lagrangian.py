@@ -5,12 +5,19 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import OneShot
 import sympeuler.eulerian as eulerian
 import sympeuler.lagrangian as lagrangian
 from sympeuler.eulerian import DiscretizationFailure, Integration, integrate
 from sympeuler.fields import ScalarField, VectorField
 from sympeuler.grids import GridSpec
-from sympeuler.initial_conditions import random_symplectic, steady_shear
+from sympeuler.initial_conditions import (
+    bump_symplectic,
+    constant_field,
+    random_symplectic,
+    scale_to_sobolev,
+    steady_shear,
+)
 from sympeuler.interp import PeriodicInterpolator
 from sympeuler.lagrangian import (
     DiffeoMap,
@@ -24,7 +31,7 @@ from sympeuler.lagrangian import (
     symplectic_residual,
 )
 from sympeuler.operators import constraint_force, symplectic_divergence
-from sympeuler.spectral import lebesgue_norms, sobolev_norm
+from sympeuler.spectral import lebesgue_norms, sobolev_norm, two_thirds_truncate
 
 
 GRID = GridSpec(n=1, points_per_axis=128)
@@ -384,13 +391,131 @@ def _peak_live_samples(steps, dt=0.01):
             peak = max(peak, sum(r() is not None for r in refs))
             yield u
 
-    flow_from_velocity(watched(), dt)
+    flow_from_velocity(OneShot(watched(), steps + 1), dt)
     return peak
 
 
 def test_streamed_flow_keeps_a_bounded_number_of_samples():
     # a record of the run would keep steps + 1 samples
     assert _peak_live_samples(40) <= _peak_live_samples(10) <= 8
+
+
+def test_flow_needs_the_sample_count():
+    # the schedule is fixed by the sample count, so a plain generator,
+    # which has no length, is refused before a sample is read
+    z = VectorField(GRID32, np.zeros((2,) + GRID32.shape))
+    read = []
+
+    def unsized():
+        for _ in range(5):
+            read.append(1)
+            yield z
+
+    with pytest.raises(TypeError, match="length"):
+        flow_from_velocity(unsized(), 0.1)
+    assert read == []
+    phi = flow_from_velocity(OneShot(unsized(), 5), 0.1)
+    assert np.max(np.abs(phi.displacement.values)) == 0.0
+
+
+def _widths(monkeypatch, samples, dt):
+    """The flow of the samples and its step widths in intervals, read off
+    the step sizes rk4 is called with."""
+    real, widths = lagrangian.rk4, []
+
+    def recording(rhs, y, h):
+        widths.append(round(h / dt))
+        return real(rhs, y, h)
+
+    with monkeypatch.context() as m:
+        m.setattr(lagrangian, "rk4", recording)
+        return flow_from_velocity(samples, dt).displacement.values, widths
+
+
+def _at_width_four(monkeypatch, samples, dt):
+    """The flow of the samples with the width held at 4 intervals."""
+    with monkeypatch.context() as m:
+        m.setattr(lagrangian, "_MAX_STRIDE", 4)
+        return flow_from_velocity(samples, dt).displacement.values
+
+
+def test_uniform_velocity_grows_only_while_steady(monkeypatch):
+    # u = c f(t), the same at every point: the stage points see no spatial
+    # variation (k2 = k3), so only the indicator's time term, f0 - 2 f1/2
+    # + f1, tells a steady translation, which RK4 integrates exactly at
+    # any width and which grows to 16, from one that speeds up, f = e^2t,
+    # which keeps width 4, bit for bit the fixed-width flow
+    c = np.array([0.3, -0.2])[:, None, None] * np.ones((2,) + GRID32.shape)
+    steps, dt = 40, 0.025
+    steady = [VectorField(GRID32, c)] * (steps + 1)
+    disp, widths = _widths(monkeypatch, steady, dt)
+    assert widths == [4, 8, 16, 12]
+    assert np.max(np.abs(disp - steps * dt * c)) < 1e-15
+    speeding = [VectorField(GRID32, np.exp(2.0 * i * dt) * c)
+                for i in range(steps + 1)]
+    disp, widths = _widths(monkeypatch, speeding, dt)
+    assert widths == [4] * 10
+    assert np.array_equal(disp, _at_width_four(monkeypatch, speeding, dt))
+
+
+def test_sheared_flows_keep_width_four(monkeypatch):
+    # a shear that grows in time, and criterion 4's random symplectic run
+    # on a smaller grid: the indicator reads 1e-3 or more, far above the
+    # growth bound, so every step is 4 intervals (2 over the remainder),
+    # bit for bit the fixed-width flow
+    time_shear, shear_dt, _, _ = _time_shear(32)
+    grid = GridSpec(n=1, points_per_axis=32)
+    u = random_symplectic(grid, seed=21, decay=0.75)
+    u0 = VectorField(grid, (0.3 / np.max(np.abs(u.values))) * u.values)
+    dt = eulerian.dt_for_speed(grid, 0.3, 0.5, 0.25)
+    run = list(Integration(u0, 0.5, dt, diag_every=10 ** 9))
+    for samples, step in ((time_shear, shear_dt), (run, dt)):
+        disp, widths = _widths(monkeypatch, samples, step)
+        intervals = len(samples) - 1
+        assert widths == [4] * (intervals // 4) + [2] * (intervals % 4 // 2) \
+            + [1] * (intervals % 2)
+        assert np.array_equal(disp, _at_width_four(monkeypatch, samples, step))
+
+
+def _probe_pair(grid, amplitude):
+    """u* +- eps w as in the nonuniform experiment's probe phase: a
+    band-limited bump of H^s norm `amplitude` and a unit-H^s boost w."""
+    L = grid.box_length
+    u_star = scale_to_sobolev(two_thirds_truncate(
+        bump_symplectic(grid, np.full(grid.dim, L / 2), 0.22 * L)), 3.0,
+        amplitude)
+    w = scale_to_sobolev(constant_field(grid, 0), 3.0, 1.0)
+    return [VectorField(grid, u_star.values + sign * 0.05 * w.values)
+            for sign in (1.0, -1.0)], u_star, w
+
+
+def test_probe_pair_members_share_their_schedule(monkeypatch):
+    # each member is nearly a rigid translation. A unit bump at the probe
+    # phase's own step (CFL 0.7 with boosts to R/2 = 0.25: 21 steps at
+    # N=32) stays at 4 intervals; a bump of H^s norm 0.1 over 164 steps
+    # grows to 16. Either way the two members take one schedule, so the
+    # odd part of the time error still cancels in their difference, and
+    # each flow stays within 1e-12 of its displacement from the width-4
+    # flow
+    grid = GridSpec(n=1, points_per_axis=32, box_length=0.75)
+    for amplitude, steps, grows in ((1.0, None, False), (0.1, 164, True)):
+        members, u_star, w = _probe_pair(grid, amplitude)
+        if steps is None:
+            speed = eulerian.max_speed(u_star) + 0.25 * eulerian.max_speed(w)
+            dt = eulerian.dt_for_speed(grid, speed, 1.0, 0.7)
+        else:
+            dt = 1.0 / steps
+        schedules = []
+        for u0 in members:
+            disp, widths = _widths(
+                monkeypatch, Integration(u0, 1.0, dt, diag_every=10 ** 9), dt)
+            schedules.append(widths)
+            fixed = _at_width_four(
+                monkeypatch, Integration(u0, 1.0, dt, diag_every=10 ** 9), dt)
+            assert np.max(np.abs(disp - fixed)) < \
+                1e-12 * np.max(np.abs(fixed))
+        assert schedules[0] == schedules[1]
+        assert (16 in schedules[0]) == grows
 
 
 def test_streamed_flow_raises_the_run_guard(monkeypatch):

@@ -15,11 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import OneShot
+from test_lagrangian import _time_shear
 import sympeuler.eulerian as eulerian
 import sympeuler.lagrangian as lagrangian
 from sympeuler.fields import VectorField
 from sympeuler.grids import GridSpec
-from sympeuler.initial_conditions import random_symplectic
+from sympeuler.initial_conditions import random_symplectic, steady_shear
 from sympeuler.interp import PeriodicInterpolator
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -86,21 +88,31 @@ def test_geodesic_integrate_steps_through_module_attribute(monkeypatch):
     assert calls == {"geodesic_rhs": 4 * 3, "invert": 0}
 
 
-@pytest.mark.parametrize("steps, builds, evaluations, one_shot", [
-    pytest.param(steps, builds, evaluations, one_shot,
-                 id=f"{steps}-generator" if one_shot else f"{steps}")
+@pytest.mark.parametrize("kind, steps, builds, evaluations, one_shot", [
+    pytest.param(kind, steps, builds, evaluations, one_shot,
+                 id=(f"{steps}" if kind == "frozen" else f"{kind}-{steps}")
+                 + ("-generator" if one_shot else ""))
     for one_shot in (False, True)
-    for steps, builds, evaluations in ((8, 5, 8), (9, 7, 12), (10, 7, 12),
-                                       (11, 9, 16))
+    for kind, steps, builds, evaluations in (
+        # widths [4, 4], [4, 4, 1], [4, 6], [4, 6, 1], [4, 8, 16, 4, 8]
+        ("frozen", 8, 5, 8), ("frozen", 9, 7, 12), ("frozen", 10, 5, 8),
+        ("frozen", 11, 7, 12), ("frozen", 40, 11, 20),
+        # widths [4, 8, 16, 12]; [4, 4, 4]
+        ("shear", 40, 9, 16), ("time-shear", 12, 7, 12))
 ])
-def test_flow_from_velocity_interpolator_counts(monkeypatch, steps, builds,
-                                                evaluations, one_shot):
+def test_flow_from_velocity_interpolator_counts(monkeypatch, kind, steps,
+                                                builds, evaluations,
+                                                one_shot):
     # the tracer's interp.build and interp.eval spans count interpolators
     # made through the module attribute: one build for the first sample
-    # and two per RK4 step (four evaluations). A step spans four
-    # intervals; a remainder of two or three takes a 2 dt step, and an odd
-    # one ends with a dt step that builds its interpolated midpoint. A
-    # list and a one-shot generator of the same samples count the same.
+    # and two per RK4 step (four evaluations). Steps start at four
+    # intervals and double, up to 16, while the flow is uniform along the
+    # step; a remainder is cut to even width, and an odd one ends with a
+    # dt step that builds its interpolated midpoint. Frozen random samples
+    # grow until the 16-interval step's spread sends the width back to 4,
+    # a frozen steady shear (uniform along its paths) keeps growing, and a
+    # shear that grows in time stays at 4. A list and a one-shot sized
+    # iterable of the same samples count the same.
     counts = {"build": 0, "eval": 0}
 
     class Counting(PeriodicInterpolator):
@@ -113,12 +125,16 @@ def test_flow_from_velocity_interpolator_counts(monkeypatch, steps, builds,
             return super().__call__(points)
 
     monkeypatch.setattr(lagrangian, "PeriodicInterpolator", Counting)
-    grid = GridSpec(n=1, points_per_axis=16)
-    u = random_symplectic(grid, seed=4, decay=1.0)
-    samples = [u] * (steps + 1)
+    grid, dt = GridSpec(n=1, points_per_axis=16), 0.01
+    if kind == "time-shear":
+        samples = _time_shear(steps, t_final=steps * dt)[0]
+    else:
+        u = (steady_shear(grid, amplitude=0.3) if kind == "shear"
+             else random_symplectic(grid, seed=4, decay=1.0))
+        samples = [u] * (steps + 1)
     if one_shot:
-        samples = (v for v in samples)
-    lagrangian.flow_from_velocity(samples, 0.01)
+        samples = OneShot(samples, steps + 1)
+    lagrangian.flow_from_velocity(samples, dt)
     assert counts == {"build": builds, "eval": evaluations}
 
 
