@@ -113,7 +113,6 @@ def cmd_run_eulerian(args) -> int:
     result = integrate(
         u0, cfg.t_final, dt, cutoff_radius=cfg.cutoff_radius,
         diag_every=cfg.diag_every, s=cfg.s,
-        project_every=cfg.project_every,
         csv_path=os.path.join(out, "diagnostics.csv"))
     if cfg.snapshot:
         write_snapshot(os.path.join(out, cfg.snapshot), result.state.u)

@@ -52,7 +52,6 @@ class RunConfig:
     initial: dict
     diag_every: int
     snapshot: str | None
-    project_every: int
     lagrangian_dt: float
     experiment: dict
 
@@ -67,7 +66,7 @@ _SCHEMA = {
     "": {"grid": (dict, {}), "s": (float, 3.0), "cutoff_radius": (float, 1.0),
          "time": (dict, {}), "initial": (dict, {"kind": "zero"}),
          "output": (dict, {}), "lagrangian": (dict, {}),
-         "project_every": (int, 0), "experiment": (dict, {})},
+         "experiment": (dict, {})},
     "grid": {"n": (int, 1), "points_per_axis": (int, 64),
              "box_length": (float, None)},
     "time": {"t_final": (float, 1.0), "dt": (float, None),
@@ -89,8 +88,7 @@ _EXPECTED = {float: "a number", int: "an integer", str: "a string",
 _POSITIVE = ("cutoff_radius", "time.t_final", "initial.norm", "lagrangian.dt",
              "experiment.t_final", "experiment.decay", "experiment.norm",
              "experiment.R", "experiment.epsilon")
-_AT_LEAST = {"initial.seed": 0, "output.diag_every": 1, "project_every": 0,
-             "experiment.K": 1}
+_AT_LEAST = {"initial.seed": 0, "output.diag_every": 1, "experiment.K": 1}
 _UNIT_INTERVAL = ("time.cfl", "experiment.cfl")
 
 
@@ -193,7 +191,6 @@ def parse_run_config(raw: dict) -> RunConfig:
                      cfl=time.get("cfl"), initial=isec,
                      diag_every=tree["output"]["diag_every"],
                      snapshot=tree["output"]["snapshot"],
-                     project_every=tree["project_every"],
                      lagrangian_dt=tree["lagrangian"]["dt"],
                      experiment=esec)
 

@@ -47,7 +47,7 @@ import numpy as np
 from .fields import VectorField
 from .grids import GridSpec
 from .interp import fourier_sample
-from .operators import advection_term, constraint_force, project_symplectic
+from .operators import advection_term, constraint_force
 from .spectral import (
     _half_derivative_symbols,
     _half_inverse_laplacian,
@@ -404,13 +404,13 @@ class Integration:
 
     rk4 steps the half spectrum u.rhat, each stage through fast_rhs, so a
     step runs only the kernel's transforms. Iterating yields u at t = 0,
-    dt, ..., t_final, each after its step's finite check, projection,
-    trace update, diagnostics and H^s guard (a Parseval sum, every step),
-    and fills in state, records (see DIAGNOSTIC_COLUMNS) and trace. Nothing
-    keeps the history. trace_points (dim, M) move with the RK4 stage
-    velocities, summed from each stage's half spectrum by fourier_sample
-    (exact trigonometric interpolation, no transform); trace (steps+1,
-    dim, M) holds their unwrapped (covering-space) positions.
+    dt, ..., t_final, each after its step's finite check, trace update,
+    diagnostics and H^s guard (a Parseval sum, every step), and fills in
+    state, records (see DIAGNOSTIC_COLUMNS) and trace. Nothing keeps the
+    history. trace_points (dim, M) move with the RK4 stage velocities,
+    summed from each stage's half spectrum by fourier_sample (exact
+    trigonometric interpolation, no transform); trace (steps+1, dim, M)
+    holds their unwrapped (covering-space) positions.
     """
 
     u0: VectorField
@@ -419,7 +419,6 @@ class Integration:
     cutoff_radius: float = 1.0
     diag_every: int = 1
     s: float = 3.0
-    project_every: int = 0
     trace_points: np.ndarray | None = None
     state: EulerianState | None = dataclasses.field(default=None, init=False)
     records: list[DiagnosticsRecord] = dataclasses.field(
@@ -457,9 +456,6 @@ class Integration:
             y = rk4(rhs, y, dt)
             _check_finite(step * dt, y)
             new_u = VectorField.from_rspectral(grid, y[0])
-            if self.project_every and step % self.project_every == 0:
-                new_u = project_symplectic(new_u)
-                y = (new_u.rhat,) + y[1:]
             if tracing:
                 self.trace[step] = y[1]
             self.state = EulerianState(step * dt, new_u)
@@ -476,14 +472,12 @@ class Integration:
 
 
 def integrate(u0: VectorField, t_final: float, dt: float,
-              cutoff_radius: float = 1.0, diag_every: int = 1,
-              s: float = 3.0, project_every: int = 0,
-              trace_points: np.ndarray | None = None,
-              csv_path: str | os.PathLike | None = None) -> Integration:
-    """Runs an Integration to its end and, given csv_path, writes its
-    records there; see DIAGNOSTIC_COLUMNS for the CSV layout."""
-    run = Integration(u0, t_final, dt, cutoff_radius, diag_every, s,
-                      project_every, trace_points)
+              csv_path: str | os.PathLike | None = None,
+              **options) -> Integration:
+    """Runs Integration(u0, t_final, dt, **options), whose fields list
+    the options, to its end and, given csv_path, writes its records
+    there; see DIAGNOSTIC_COLUMNS for the CSV layout."""
+    run = Integration(u0, t_final, dt, **options)
     for _ in run:
         pass
     if csv_path is not None:

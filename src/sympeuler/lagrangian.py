@@ -107,6 +107,9 @@ _INVERT_MAX_ITER = 200
 _FLOW_STRIDE = 4        # sample intervals of flow_from_velocity's first step
 _MAX_STRIDE = 16        # its widest step, reached by doubling
 _GROWTH_TOL = 1e-8      # the width doubles while 8 e stays below this (cells)
+# an odd last interval's midpoint, Lagrange in time through the tail's
+# samples: one interval (2 samples, linear) or the last 4 (cubic)
+_TAIL_WEIGHTS = {2: (0.5, 0.5), 4: (0.0625, -0.3125, 0.9375, 0.3125)}
 
 
 def invert(phi: DiffeoMap) -> DiffeoMap:
@@ -197,16 +200,6 @@ def exp_map(u0: VectorField, dt: float = 0.01,
     return geodesic_integrate(u0, 1.0, dt, cutoff_radius).phi
 
 
-def _lagrange_weights(frac: np.ndarray, stencil: int) -> np.ndarray:
-    """Weights of shape (*frac.shape, stencil) for nodes 0..stencil-1: the
-    product over m of factors (frac - m) / (j - m), 1 where m = j."""
-    nodes = np.arange(stencil)
-    off = ~np.eye(stencil, dtype=bool)
-    gaps = np.where(off, nodes[:, None] - nodes, 1)           # j - m
-    factors = (frac[..., None, None] - nodes) / gaps
-    return np.where(off, factors, 1.0).prod(axis=-1)
-
-
 def _flow_step(y: tuple, start: PeriodicInterpolator, mid: np.ndarray,
                end: np.ndarray, h: float):
     """One RK4 step of width h of the flow points y[0] through the start
@@ -291,8 +284,7 @@ def flow_from_velocity(velocities: Iterable[VectorField],
         if span > 1:
             return sample(done + span // 2).rhat, sample(done + span).rhat
         end = sample(intervals).rhat
-        w = _lagrange_weights(np.asarray(len(tail) - 1.5), len(tail))
-        return sum(wj * v for wj, v in zip(w, tail)), end
+        return sum(w * v for w, v in zip(_TAIL_WEIGHTS[len(tail)], tail)), end
 
     first = sample(0)
     grid = first.grid

@@ -245,29 +245,14 @@ def spectral_upsample(values: np.ndarray, grid: GridSpec) -> np.ndarray:
         raise ValueError("values do not match grid shape")
 
     N = grid.points_per_axis
-    M = 2 * N
-    axes = tuple(range(len(lead), len(lead) + grid.dim))
-    hat = np.fft.fftn(values, axes=axes)
-    half = N // 2
+    axes = tuple(range(len(lead), values.ndim))
+    # centred, each axis runs over -N/2..N/2-1 and pads to the fine -N..N-1;
+    # the unpaired -N/2 row is halved and copied to +N/2
+    hat = np.fft.fftshift(np.fft.fftn(values, axes=axes), axes=axes)
+    hat = np.pad(hat, [(0, 0)] * len(lead) + [(N // 2, N // 2)] * grid.dim)
     for ax in axes:
-        shape = list(hat.shape)
-        shape[ax] = M
-        big = np.zeros(shape, dtype=complex)
-        src_pos = [slice(None)] * hat.ndim
-        src_pos[ax] = slice(0, half)
-        dst_pos = list(src_pos)
-        big[tuple(dst_pos)] = hat[tuple(src_pos)]
-        src_neg = [slice(None)] * hat.ndim
-        src_neg[ax] = slice(half + 1, N)
-        dst_neg = [slice(None)] * hat.ndim
-        dst_neg[ax] = slice(M - half + 1, M)
-        big[tuple(dst_neg)] = hat[tuple(src_neg)]
-        src_nyq = [slice(None)] * hat.ndim
-        src_nyq[ax] = half
-        for dst_idx in (half, M - half):
-            dst_nyq = [slice(None)] * hat.ndim
-            dst_nyq[ax] = dst_idx
-            big[tuple(dst_nyq)] = 0.5 * hat[tuple(src_nyq)]
-        hat = big
-    out = np.real(np.fft.ifftn(hat, axes=axes)) * float(2**grid.dim)
-    return out
+        rows = np.swapaxes(hat, 0, ax)      # a view with axis ax first
+        rows[N // 2] *= 0.5
+        rows[N // 2 + N] = rows[N // 2]
+    out = np.fft.ifftn(np.fft.ifftshift(hat, axes=axes), axes=axes)
+    return np.real(out) * float(2**grid.dim)

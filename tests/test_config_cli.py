@@ -349,6 +349,15 @@ def test_cli_rejects_keys_nothing_reads(tmp_path, capsys, section, key, value):
     assert message.startswith(f"{section}.{key}: unknown key")
 
 
+def test_cli_rejects_retired_project_every(tmp_path, capsys):
+    # the run no longer projects; a file that asks for it must not run
+    cfg = write_cfg(tmp_path, {"grid": {"points_per_axis": 32},
+                               "time": {"cfl": 0.5}, "project_every": 1})
+    message = config_error_of(capsys, "run-eulerian", "--config", cfg,
+                              "--out", str(tmp_path / "out"))
+    assert message.startswith("project_every: unknown key")
+
+
 @pytest.mark.parametrize("kind, experiment, key", [
     ("nonuniform", {"K": "3"}, "K"),
     ("nonuniform", {"K": 0}, "K"),

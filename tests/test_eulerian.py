@@ -44,7 +44,6 @@ from sympeuler.operators import (
     constraint_force,
     jacobian,
     omega_deformation,
-    project_symplectic,
     symplectic_divergence,
 )
 from sympeuler.spectral import lebesgue_norms, sobolev_norm
@@ -54,7 +53,7 @@ def scaled(u, factor):
     return VectorField(u.grid, factor * u.values)
 
 
-def physical_loop(u0, t_final, dt, project_every=0, trace_points=None):
+def physical_loop(u0, t_final, dt, trace_points=None):
     """The Eulerian run on physical values, rk4 over fast_rhs(...).values:
     the (u, positions) tuple after every step, u0 first."""
     grid = u0.grid
@@ -70,10 +69,8 @@ def physical_loop(u0, t_final, dt, project_every=0, trace_points=None):
         return k
 
     states = [y]
-    for step in range(1, step_count(t_final, dt) + 1):
+    for _ in range(step_count(t_final, dt)):
         y = rk4(rhs, y, dt)
-        if project_every and step % project_every == 0:
-            y = (project_symplectic(VectorField(grid, y[0])).values,) + y[1:]
         states.append(y)
     return states
 
@@ -436,12 +433,11 @@ def test_hs_guard_runs_every_step(grid32):
                                            box_length=0.75),
                                   GridSpec(n=2, points_per_axis=16)],
                          ids=["2d", "2d-small-box", "4d"])
-@pytest.mark.parametrize("option", ["plain", "trace", "project"])
+@pytest.mark.parametrize("option", ["plain", "trace"])
 def test_integration_matches_physical_loop(grid, option):
     # the run steps the half spectrum; stepping the values instead must
     # agree to rounding, the traced positions included
-    draw = random_vector if option == "project" else random_symplectic
-    u0 = draw(grid, seed=58, decay=1.0)
+    u0 = random_symplectic(grid, seed=58, decay=1.0)
     u0 = scaled(u0, 0.5 / np.max(np.abs(u0.values)))
     dt = cfl_timestep(u0, 1.0, 0.5)
     t_final = 4 * dt
@@ -449,8 +445,6 @@ def test_integration_matches_physical_loop(grid, option):
     if option == "trace":
         kwargs["trace_points"] = np.random.default_rng(59).uniform(
             0.0, grid.box_length, (grid.dim, 5))
-    if option == "project":
-        kwargs["project_every"] = 1
     run = Integration(u0, t_final, dt, diag_every=10**9, **kwargs)
     fields = [u.values for u in run]
     want = physical_loop(u0, t_final, dt, **kwargs)
@@ -461,13 +455,6 @@ def test_integration_matches_physical_loop(grid, option):
         assert rel_err(run.trace, np.stack([y[1] for y in want])) < 1e-14
     # the run moved: agreement is not that of two unchanged fields
     assert rel_err(fields[-1], fields[0]) > 1e-3
-
-
-def test_project_every_enforces_constraint(grid64):
-    u0 = scaled(random_vector(grid64, seed=56, decay=1.0), 0.1)
-    res = integrate(u0, 0.1, 0.02, project_every=1)
-    hs0 = res.records[0].hs
-    assert res.records[-1].p_residual < 1e-9 * max(hs0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +544,9 @@ EXPORTS_WITHOUT_PACKAGE_USE = {
     "lagrangian.GeodesicState": "result type of geodesic_integrate",
     "experiments.NonuniformConfig": "input type of run_nonuniform",
     "experiments.NonuniformReport": "result type of run_nonuniform",
+    "operators.project_symplectic":
+        "a paper operator, the L2-orthogonal projection onto symplectic "
+        "fields; checked by tests/test_operators.py",
 }
 
 

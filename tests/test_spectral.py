@@ -326,6 +326,32 @@ def test_spectral_upsample_exact_for_sine(grid32):
     assert np.max(np.abs(fine_vals - np.sin(x1) * np.ones(fine.shape))) < 1e-12
 
 
+def _upsample_closed_form(grid, nyquist, stacked):
+    """A smooth mode and modes of wavenumber nyquist on the first axis and
+    on the corner of the first and last, each a component when stacked."""
+    x = grid.coordinate_arrays()
+    top = np.cos(nyquist * x[0])
+    parts = [np.sin(x[0]) * np.cos(2 * x[-1]) * np.ones(grid.shape),
+             (top + top * np.cos(nyquist * x[-1])) * np.ones(grid.shape)]
+    return np.stack(parts) if stacked else parts[0] + parts[1]
+
+
+@pytest.mark.parametrize("grid, stacked", [
+    (GridSpec(n=1, points_per_axis=32), True),
+    (GridSpec(n=2, points_per_axis=8), False),
+    (GridSpec(n=2, points_per_axis=8), True),
+], ids=["2d-stacked", "4d", "4d-stacked"])
+def test_spectral_upsample_exact_with_nyquist_modes(grid, stacked):
+    # the coarse Nyquist rows are split across +-N/2 of the fine lattice;
+    # putting the half at one end only would halve those terms
+    fine = GridSpec(n=grid.n, points_per_axis=2 * grid.points_per_axis,
+                    box_length=grid.box_length)
+    nyquist = math.pi / grid.spacing
+    got = spectral_upsample(_upsample_closed_form(grid, nyquist, stacked),
+                            grid)
+    want = _upsample_closed_form(fine, nyquist, stacked)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-12
 def test_parseval_property(grid64):
     f = two_thirds_truncate(random_potential(grid64, seed=14))
     quad = np.sum(f.values ** 2) * grid64.cell_volume
