@@ -1,9 +1,11 @@
 """Run configuration: YAML schema, validation, field construction.
 
-One table, _SCHEMA, gives every key its type and default; parsing checks
-the whole file against it before anything runs, so a YAML string where a
-number belongs (1.0e8 without a sign is text in YAML 1.1) fails here
-rather than deep in a solver. Errors carry dotted key paths (for example
+One table, _SCHEMA, gives every key its type, default and range; parsing
+checks the whole file against it before anything runs, so a YAML string
+where a number belongs (1.0e8 without a sign is text in YAML 1.1) or a
+negative norm fails here rather than deep in a solver. Rules that tie
+keys together (s > n + 1, time.dt <= time.t_final, exactly one of dt and
+cfl) follow the table. Errors carry dotted key paths (for example
 ``initial.seed: required for kind 'random_symplectic'``) so a bad file
 pinpoints its own fix.
 """
@@ -58,38 +60,40 @@ class RunConfig:
 
 _REQUIRED = object()
 
-# section -> key -> (type, default); "" is the root and a dict-typed key
-# names a section. A default of None leaves the key out unless the file sets
-# it; its default then lives where it is read: GridSpec's box length, the
-# grid-dependent bump geometry, build_nonuniform_config's signature.
+# section -> key -> (type, default[, range]); "" is the root and a dict-typed
+# key names a section. A default of None leaves the key out unless the file
+# sets it; its default then lives where it is read: GridSpec's box length, the
+# grid-dependent bump geometry, build_nonuniform_config's signature. A range
+# is checked right after the type; it names a row of _RANGES.
 _SCHEMA = {
-    "": {"grid": (dict, {}), "s": (float, 3.0), "cutoff_radius": (float, 1.0),
-         "time": (dict, {}), "initial": (dict, {"kind": "zero"}),
-         "output": (dict, {}), "lagrangian": (dict, {}),
-         "experiment": (dict, {})},
+    "": {"grid": (dict, {}), "s": (float, 3.0),
+         "cutoff_radius": (float, 1.0, "> 0"), "time": (dict, {}),
+         "initial": (dict, {"kind": "zero"}), "output": (dict, {}),
+         "lagrangian": (dict, {}), "experiment": (dict, {})},
     "grid": {"n": (int, 1), "points_per_axis": (int, 64),
              "box_length": (float, None)},
-    "time": {"t_final": (float, 1.0), "dt": (float, None),
-             "cfl": (float, None)},
-    "initial": {"kind": (str, _REQUIRED), "seed": (int, None),
-                "decay": (float, 0.5), "norm": (float, 1.0),
+    "time": {"t_final": (float, 1.0, "> 0"), "dt": (float, None),
+             "cfl": (float, None, "(0, 1]")},
+    "initial": {"kind": (str, _REQUIRED), "seed": (int, None, ">= 0"),
+                "decay": (float, 0.5), "norm": (float, 1.0, "> 0"),
                 "center": (list, None), "radius": (float, None),
                 "amplitude": (float, 1.0), "terms": (list, None),
                 "direction": (int, 0), "magnitude": (float, 1.0)},
-    "output": {"diag_every": (int, 1), "snapshot": (str, "final.snap")},
-    "lagrangian": {"dt": (float, 0.01)},
-    "experiment": {"seeds": (list, [0, 1, 2]), "t_final": (float, 0.5),
-                   "decay": (float, 0.8), "norm": (float, 1.0),
-                   "K": (int, None), "R": (float, None),
-                   "epsilon": (float, None), "cfl": (float, None)},
+    "output": {"diag_every": (int, 1, ">= 1"),
+               "snapshot": (str, "final.snap")},
+    "lagrangian": {"dt": (float, 0.01, "> 0")},
+    "experiment": {"seeds": (list, [0, 1, 2]), "t_final": (float, 0.5, "> 0"),
+                   "decay": (float, 0.8, "> 0"), "norm": (float, 1.0, "> 0"),
+                   "K": (int, None, ">= 1"), "R": (float, None, "> 0"),
+                   "epsilon": (float, None, "> 0"),
+                   "cfl": (float, None, "(0, 1]")},
 }
 _EXPECTED = {float: "a number", int: "an integer", str: "a string",
              list: "a list", dict: "a mapping"}
-_POSITIVE = ("cutoff_radius", "time.t_final", "initial.norm", "lagrangian.dt",
-             "experiment.t_final", "experiment.decay", "experiment.norm",
-             "experiment.R", "experiment.epsilon")
-_AT_LEAST = {"initial.seed": 0, "output.diag_every": 1, "experiment.K": 1}
-_UNIT_INTERVAL = ("time.cfl", "experiment.cfl")
+_RANGES = {"> 0": (lambda v: v > 0, "must be positive"),
+           ">= 0": (lambda v: v >= 0, "must be >= 0"),
+           ">= 1": (lambda v: v >= 1, "must be >= 1"),
+           "(0, 1]": (lambda v: 0 < v <= 1, "must lie in (0, 1]")}
 
 
 def _ctx(path: str, key: str) -> str:
@@ -97,14 +101,15 @@ def _ctx(path: str, key: str) -> str:
 
 
 def _walk(raw: dict, section: str = "") -> dict:
-    """Checks one section against _SCHEMA and fills in its defaults."""
+    """Checks one section against _SCHEMA, types then ranges, and fills
+    in its defaults."""
     schema = _SCHEMA[section]
     unknown = sorted(set(raw) - set(schema))
     if unknown:
         raise ConfigError(f"{_ctx(section, unknown[0])}: unknown key "
                           f"(allowed: {', '.join(sorted(schema))})")
     out = {}
-    for key, (kind, default) in schema.items():
+    for key, (kind, default, *bounds) in schema.items():
         path = _ctx(section, key)
         if key not in raw and default is _REQUIRED:
             raise ConfigError(f"{path}: required")
@@ -118,12 +123,10 @@ def _walk(raw: dict, section: str = "") -> dict:
             raise ConfigError(f"{path}: expected {_EXPECTED[kind]}, "
                               f"got {value!r}")
         out[key] = _walk(value, key) if kind is dict else kind(value)
+        for within, message in map(_RANGES.get, bounds):
+            if not within(out[key]):
+                raise ConfigError(f"{path}: {message}")
     return out
-
-
-def _lookup(tree: dict, path: str):
-    section, _, key = path.rpartition(".")
-    return (tree[section] if section else tree).get(key)
 
 
 def load_config(path) -> dict:
@@ -153,18 +156,6 @@ def parse_run_config(raw: dict) -> RunConfig:
     if not s > n + 1:
         raise ConfigError(f"s: must exceed {n + 1} (s > 2n/2 + 1 with "
                           f"n={n}); got {s}")
-    for path in _POSITIVE:
-        value = _lookup(tree, path)
-        if value is not None and not value > 0:
-            raise ConfigError(f"{path}: must be positive")
-    for path, floor in _AT_LEAST.items():
-        value = _lookup(tree, path)
-        if value is not None and value < floor:
-            raise ConfigError(f"{path}: must be >= {floor}")
-    for path in _UNIT_INTERVAL:
-        value = _lookup(tree, path)
-        if value is not None and not 0 < value <= 1:
-            raise ConfigError(f"{path}: must lie in (0, 1]")
 
     time, isec, esec = tree["time"], tree["initial"], tree["experiment"]
     if ("dt" in time) == ("cfl" in time):

@@ -149,6 +149,18 @@ def _sign(i: int) -> float:
     return 1.0 if i % 2 else -1.0
 
 
+def _skew(d: int, out: np.ndarray, scratch: np.ndarray, entry) -> None:
+    """Upper entries of omega^T X - X^T omega in row-major order, the (i, j)
+    one divided by sigma_i: X_{p(i) j} - sigma_i sigma_j X_{p(j) i}, where
+    entry(a, b, o) writes X_ab into o. No plane is allocated."""
+    pairs = ((i, j) for i in range(d) for j in range(i + 1, d))
+    for e, (i, j) in enumerate(pairs):
+        entry(_partner(i), j, out[e])
+        entry(_partner(j), i, scratch)
+        combine = np.subtract if _sign(i) == _sign(j) else np.add
+        combine(out[e], scratch, out=out[e])
+
+
 @functools.lru_cache(maxsize=4)
 def _work_buffers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scratch arrays (spec, phys, prod) shared by the kernel and the
@@ -223,16 +235,6 @@ class _SkewKernel:
         self.defect = bool(np.any(chi * mask * inv_lap))
         self.chi = chi if self.defect else None
 
-    def _skew(self, out: np.ndarray, scratch: np.ndarray, entry) -> None:
-        """Upper entries of omega^T X - X^T omega, the (i, j) one divided
-        by sigma_i: X_{p(i) j} - sigma_i sigma_j X_{p(j) i}, where
-        entry(a, b, o) writes X_ab into o. No plane is allocated."""
-        for e, (i, j) in enumerate(self.pairs):
-            entry(_partner(i), j, out[e])
-            entry(_partner(j), i, scratch)
-            combine = np.subtract if _sign(i) == _sign(j) else np.add
-            combine(out[e], scratch, out=out[e])
-
     def __call__(self, u_hat: np.ndarray, advect: bool) -> np.ndarray:
         grid, d, c = self.grid, self.grid.dim, self.cols
         n_pairs = len(self.pairs)
@@ -264,12 +266,12 @@ class _SkewKernel:
         if advect:
             for i in range(d):
                 np.einsum("j...,j...->...", u, J[i], out=prod[i])
-        self._skew(prod[d:d + n_pairs], scratch, lambda a, b, o: np.einsum(
+        _skew(d, prod[d:d + n_pairs], scratch, lambda a, b, o: np.einsum(
             "k...,k...->...", J[a], J[:, b], out=o))
         if self.defect:
             g = phys[d + d * d:]
-            self._skew(prod[d + n_pairs:], scratch,
-                       lambda a, b, o: np.multiply(u[a], g[b], out=o))
+            _skew(d, prod[d + n_pairs:], scratch,
+                  lambda a, b, o: np.multiply(u[a], g[b], out=o))
         # spec is free again and takes the forward batch: rfft along the
         # last axis, then the full-axis passes on the retained columns
         first = 0 if advect else d
@@ -335,18 +337,16 @@ def diagnostics(state: EulerianState, s: float,
     np.fft.ifftn(jac_hat, axes=tuple(range(-d, -1)), out=jac_hat)
     J = np.fft.irfft(jac_hat, n=grid.points_per_axis, axis=-1,
                      out=phys[d:d + d * d]).reshape((d, d) + grid.shape)
-    # P = omega^T J - J^T omega, whose (i, j) entry is sigma_i (J_{p(i) j}
-    # - sigma_i sigma_j J_{p(j) i}); both triangles count in the Frobenius
-    # norm. The planes go to the kernel's product rows, free between calls.
-    # Sums of squares by einsum, not vdot: OpenBLAS splits vdot's sum by
-    # thread, so the last digits would follow the BLAS thread count
+    # P = omega^T J - J^T omega: _skew's entries differ from P's upper ones
+    # only in sign, and both triangles count in the Frobenius norm; the
+    # planes go to the kernel's product rows, free between calls. Squares
+    # summed by einsum, not vdot: OpenBLAS splits vdot's sum by thread, so
+    # the last digits would follow the BLAS thread count
+    entries = work[:d * (d - 1) // 2]
+    _skew(d, entries, work[-1], lambda a, b, o: np.copyto(o, J[a, b]))
     p_sq = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            combine = np.subtract if _sign(i) == _sign(j) else np.add
-            entry = combine(J[_partner(i), j], J[_partner(j), i],
-                            out=work[0]).ravel()
-            p_sq += float(np.einsum("i,i->", entry, entry))
+    for entry in entries:
+        p_sq += float(np.einsum("i,i->", entry.ravel(), entry.ravel()))
     p_res = math.sqrt(2.0 * p_sq * grid.cell_volume)
     sdiv = np.subtract(J[0, 1], J[1, 0], out=work[1])
     for a in range(1, grid.n):

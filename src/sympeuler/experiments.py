@@ -59,6 +59,7 @@ from .operators import (
 from .spectral import (
     _half_derivative_symbols,
     _half_inverse_laplacian,
+    dealias_band,
     dealias_mask,
     lebesgue_norms,
     riesz_transform,
@@ -219,7 +220,7 @@ def probe_report(s: float = 3.0) -> dict:
     constants and their half-sweep stability ratios (1.0 = perfectly
     stable)."""
     grid = GridSpec(n=1, points_per_axis=128)
-    band = (grid.points_per_axis - 1) // 3
+    band = dealias_band(grid.points_per_axis)
 
     waves = list(range(1, band + 1, max(1, band // 16)))
     comm = commutator_sweep(grid, s, seed=2024, wavenumbers=waves)
@@ -314,7 +315,6 @@ def find_probe_direction(u_star: VectorField, candidates, epsilon: float,
 
 @dataclasses.dataclass
 class NonuniformConfig:
-    grid: GridSpec
     u_star: VectorField
     w_star: VectorField
     constants: dict             # the probe phase's numbers; constants.json
@@ -481,8 +481,8 @@ def build_nonuniform_config(grid: GridSpec | None = None,
         "radii": [float(r) for r in radii],
         "probe_points_per_axis": probe_grid.points_per_axis,
     })
-    return NonuniformConfig(grid=grid, u_star=u_star, w_star=w_star,
-                            constants=constants, cfl=cfl)
+    return NonuniformConfig(u_star=u_star, w_star=w_star, constants=constants,
+                            cfl=cfl)
 
 
 def run_nonuniform(config: NonuniformConfig,
@@ -493,7 +493,7 @@ def run_nonuniform(config: NonuniformConfig,
     Asserts the separation bracket m_star/(2k) <= |phi_tilde(x_star) -
     phi(x_star)| <= 3 m_star/k; everything else is recorded, not judged.
     """
-    grid, c = config.grid, config.constants
+    grid, c = config.u_star.grid, config.constants
     s, m_star = c["s"], c["m_star"]
     x_star = np.array(c["x_star"])
     pts = x_star.reshape(-1, 1)

@@ -1,12 +1,14 @@
 """Scalar, vector and skew-matrix fields sampled on a periodic grid.
 
-Fields store real physical samples as the canonical representation and
-cache Fourier coefficients on first use: `rhat`, the rfftn half lattice
-of a field's independent components (the d(d-1)/2 upper entries of a
-skew field), which `from_rspectral` inverts in one batched irfftn on
-first use of `values`. Instances are treated as immutable: operations return new fields and
-never mutate the underlying arrays. Scaling by a number is the one
-arithmetic operator; sums and differences are written on `.values`.
+The three kinds share one body, _HalfSpectrum: a grid, real physical
+samples `values` of shape lead + grid.shape, each kind declaring only its
+leading axes ((), (d,) or (d, d) with d = grid.dim), and `rhat`, the
+cached rfftn half lattice of the independent components (the d(d-1)/2
+upper entries of a skew field), which `from_rspectral` inverts in one
+batched irfftn on first use of `values`. Instances are treated as
+immutable: operations return new fields and never mutate the underlying
+arrays. Scaling by a number is the one arithmetic operator; sums and
+differences are written on `.values`.
 """
 
 from __future__ import annotations
@@ -18,14 +20,6 @@ import numpy as np
 from .grids import GridSpec
 
 __all__ = ["ScalarField", "VectorField", "SkewMatrixField", "skew_part"]
-
-
-def _check_grid(grid: GridSpec, values: np.ndarray, extra_dims: int) -> None:
-    expected = grid.shape
-    if values.shape[extra_dims:] != expected:
-        raise ValueError(
-            f"values shape {values.shape} does not match grid shape {expected}"
-        )
 
 
 def _rfftn(values: np.ndarray, dim: int) -> np.ndarray:
@@ -42,10 +36,25 @@ def _irfftn(coeffs: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.fft.irfftn(coeffs, s=shape, axes=tuple(range(-len(shape), 0)))
 
 
+@dataclass(eq=False)
 class _HalfSpectrum:
-    """rhat, from_rspectral and scaling by a number, shared by the three
-    field kinds; each says how its independent components stack
+    """The body of every field kind: grid, values of shape lead +
+    grid.shape and the cached rhat. A kind sets its leading axes, lead =
+    (d,) * _rank, and the skew kind how its components stack
     (_components, _values_from)."""
+
+    grid: GridSpec
+    values: np.ndarray
+    _rhat: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    _rank = 0
+
+    def __post_init__(self) -> None:
+        self.values = np.asarray(self.values, dtype=float)
+        expected = (self.grid.dim,) * self._rank + self.grid.shape
+        if self.values.shape != expected:
+            raise ValueError(f"values shape {self.values.shape} does not "
+                             f"match {expected}")
 
     def _components(self) -> np.ndarray:
         return self.values
@@ -88,20 +97,10 @@ class _HalfSpectrum:
         return self.values
 
 
-@dataclass(eq=False)
 class ScalarField(_HalfSpectrum):
     """Real scalar field on a periodic grid."""
 
-    grid: GridSpec
-    values: np.ndarray
-    _rhat: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        _check_grid(self.grid, self.values, 0)
-
-
-@dataclass(eq=False)
 class VectorField(_HalfSpectrum):
     """Vector field with 2n components on a shared periodic grid.
 
@@ -109,20 +108,9 @@ class VectorField(_HalfSpectrum):
     shape ``(2n, N, ..., N)``.
     """
 
-    grid: GridSpec
-    values: np.ndarray
-    _rhat: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape[0] != self.grid.dim:
-            raise ValueError(
-                f"expected {self.grid.dim} components, got {self.values.shape[0]}"
-            )
-        _check_grid(self.grid, self.values, 1)
+    _rank = 1
 
 
-@dataclass(eq=False)
 class SkewMatrixField(_HalfSpectrum):
     """Field of skew-symmetric (2n x 2n) matrices on a periodic grid.
 
@@ -133,16 +121,7 @@ class SkewMatrixField(_HalfSpectrum):
     order, (0, 1), (0, 2), ..., (d - 2, d - 1).
     """
 
-    grid: GridSpec
-    values: np.ndarray
-    _rhat: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        d = self.grid.dim
-        if self.values.shape[:2] != (d, d):
-            raise ValueError(f"expected leading matrix axes ({d}, {d})")
-        _check_grid(self.grid, self.values, 2)
+    _rank = 2
 
     def _components(self) -> np.ndarray:
         i, j = np.triu_indices(self.grid.dim, 1)

@@ -68,16 +68,21 @@ def read_snapshot(path):
         payload = fh.read()
 
     try:
-        grid = GridSpec(n=int(header["n"]),
-                        points_per_axis=int(header["N"]),
-                        box_length=float(header["L"]))
-        comps = int(header["components"])
+        n, N, comps, L = (header[k] for k in ("n", "N", "components", "L"))
+        if not all(type(v) is int for v in (n, N, comps)):
+            raise TypeError("n, N and components must be integers")
+        grid = GridSpec(n=n, points_per_axis=N, box_length=float(L))
+        if not np.isfinite(grid.box_length):
+            raise ValueError("L must be finite")
         representation = header["representation"]
         is_map = bool(header.get("map", False))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SnapshotError(f"bad snapshot header: {exc}") from exc
     if representation != "physical":
         raise SnapshotError(f"unknown representation {representation!r}")
+    if comps not in ((grid.dim,) if is_map else (1, grid.dim)):
+        raise SnapshotError(f"{comps} components in a {grid.dim}D "
+                            + ("map" if is_map else "field"))
 
     expected = comps * grid.num_points * _LE64.itemsize
     if len(payload) != expected:
@@ -87,8 +92,6 @@ def read_snapshot(path):
     values = np.array(flat.reshape((comps,) + grid.shape))
 
     if is_map:
-        if comps != grid.dim:
-            raise SnapshotError("map snapshot must have dim components")
         return DiffeoMap(grid, VectorField(grid, values))
     if comps == 1:
         return ScalarField(grid, values[0])

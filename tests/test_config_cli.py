@@ -15,6 +15,7 @@ import yaml
 import sympeuler
 from sympeuler.cli import main
 from sympeuler.config import (
+    _SCHEMA,
     ConfigError,
     build_initial_condition,
     load_config,
@@ -84,6 +85,47 @@ def test_time_bounds():
         parse({"time": {"cfl": 1.5}})
 
 
+_TINY = math.nextafter(0.0, 1.0)
+_ABOVE_ONE = math.nextafter(1.0, 2.0)
+
+
+# every key with a range, a value just outside it, a boundary value inside
+# it and the message; listed here, not read from the schema, so a range
+# dropped from the schema fails
+_RANGE_CASES = [
+    ("cutoff_radius", 0.0, _TINY, "must be positive"),
+    ("time.t_final", 0.0, _TINY, "must be positive"),
+    ("initial.norm", 0.0, _TINY, "must be positive"),
+    ("lagrangian.dt", 0.0, _TINY, "must be positive"),
+    ("experiment.t_final", 0.0, _TINY, "must be positive"),
+    ("experiment.decay", 0.0, _TINY, "must be positive"),
+    ("experiment.norm", 0.0, _TINY, "must be positive"),
+    ("experiment.R", 0.0, _TINY, "must be positive"),
+    ("experiment.epsilon", 0.0, _TINY, "must be positive"),
+    ("initial.seed", -1, 0, "must be >= 0"),
+    ("output.diag_every", 0, 1, "must be >= 1"),
+    ("experiment.K", 0, 1, "must be >= 1"),
+    ("time.cfl", _ABOVE_ONE, 1.0, "must lie in (0, 1]"),
+    ("experiment.cfl", _ABOVE_ONE, 1.0, "must lie in (0, 1]"),
+]
+
+
+@pytest.mark.parametrize("path, outside, inside, message", _RANGE_CASES,
+                         ids=[case[0] for case in _RANGE_CASES])
+def test_range_messages(path, outside, inside, message):
+    def raw(value):
+        out = {"time": {"cfl": 0.5},
+               "initial": {"kind": "random_symplectic", "seed": 1}}
+        section, _, key = path.rpartition(".")
+        (out.setdefault(section, {}) if section else out)[key] = value
+        return out
+
+    with pytest.raises(ConfigError) as excinfo:
+        parse(raw(outside))
+    assert str(excinfo.value) == f"{path}: {message}"
+    parse(raw(inside))
+
+
 def test_seed_required_for_random_kinds():
     for kind in ("random_symplectic", "random_vector"):
         with pytest.raises(ConfigError, match="initial.seed: required"):
@@ -132,7 +174,8 @@ def test_underflowing_decay_is_a_config_error():
 def test_readme_example_parses_with_every_experiment_default():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
-        example = fh.read().split("```yaml\n", 1)[1].split("```", 1)[0]
+        text = fh.read()
+    example = text.split("```yaml\n", 1)[1].split("```", 1)[0]
     cfg = parse(yaml.safe_load(example))
     # the nonuniform defaults live in build_nonuniform_config's signature,
     # the others in the schema
@@ -141,6 +184,15 @@ def test_readme_example_parses_with_every_experiment_default():
                 for key in ("R", "K", "epsilon", "cfl")}
     defaults.update(parse({"time": {"cfl": 0.5}}).experiment)
     assert cfg.experiment == defaults
+    # the experiment table's range column states each schema range
+    ranges = {}
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and cells[1] in ("`oracle2d`", "`nonuniform`"):
+            ranges[cells[0].strip("`")] = cells[3].removeprefix("integer ")
+    schema = {key: row[2] for key, row in _SCHEMA["experiment"].items()
+              if len(row) > 2}
+    assert {key: ranges[key] for key in schema} == schema
 
 
 def test_center_validation():

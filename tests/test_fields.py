@@ -25,9 +25,16 @@ def test_scalar_hermitian_symmetry(grid32):
         assert np.max(np.abs(edge - np.conj(edge[flip]))) < 1e-9 * np.max(np.abs(hat))
 
 
-def test_scalar_shape_guard(grid32):
+@pytest.mark.parametrize("kind, shape", [
+    (ScalarField, (2, 32, 32)), (ScalarField, (8, 8)),
+    (VectorField, (3, 32, 32)), (VectorField, (2, 8, 8)),
+    (SkewMatrixField, (2, 3, 32, 32)), (SkewMatrixField, (2, 2, 8, 8)),
+], ids=["scalar-lead", "scalar-grid", "vector-lead", "vector-grid",
+        "skew-lead", "skew-grid"])
+def test_shape_guard(grid32, kind, shape):
+    # one wrong leading axis and one wrong grid shape per kind on 2D N=32
     with pytest.raises(ValueError):
-        ScalarField(grid32, np.zeros((8, 8)))
+        kind(grid32, np.zeros(shape))
 
 
 def test_vector_arithmetic(grid32):

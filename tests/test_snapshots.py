@@ -94,6 +94,24 @@ def test_missing_header_key(tmp_path, grid32):
         read_snapshot(path)
 
 
+@pytest.mark.parametrize("change, comps", [
+    ({"components": 3}, 3), ({"components": 0}, 0),
+    ({"L": float("inf")}, 2), ({"N": 32.9}, 2), ({"n": True}, 2),
+], ids=["3-components", "0-components", "infinite-L", "fractional-N",
+        "boolean-n"])
+def test_malformed_header_values(tmp_path, grid32, change, comps):
+    # each payload has the size its header implies once read leniently
+    # (int(32.9) = 32, int(True) = 1), so only the header check refuses it
+    header = {"n": 1, "N": 32, "L": grid32.box_length,
+              "representation": "physical", "components": 2, "map": False,
+              **change}
+    path = tmp_path / "u.snap"
+    path.write_bytes(json.dumps(header).encode() + b"\n"
+                     + np.zeros((comps,) + grid32.shape).tobytes())
+    with pytest.raises(SnapshotError):
+        read_snapshot(path)
+
+
 def test_truncated_payload(tmp_path, grid32):
     u = random_vector(grid32, seed=8)
     path = tmp_path / "u.snap"
