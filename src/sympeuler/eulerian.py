@@ -380,6 +380,9 @@ def rk4(rhs: Callable[[float, tuple], tuple], y: tuple, dt: float) -> tuple:
     {0, 1/2, 1/2, 1}. Each stage input and result component is one fresh
     array, summed in the order of a + c dt k and a + (dt/6)(p + 2q + 2r +
     w), so bitwise equal; no k is written to, as one may be its stage input.
+    The weighted sum starts as 2 k2 + k1 right after k2 and takes 2 k3
+    right after k3, so k1 is freed before the third stage runs and k2
+    before the fourth.
     """
     def axpy(s, xs, bases):  # s x + b, one fresh array per component
         return tuple(np.add(t, b, out=t)
@@ -387,11 +390,14 @@ def rk4(rhs: Callable[[float, tuple], tuple], y: tuple, dt: float) -> tuple:
 
     k1 = rhs(0.0, y)
     k2 = rhs(0.5, axpy(0.5 * dt, k1, y))
-    k3 = rhs(0.5, axpy(0.5 * dt, k2, y))
-    k4 = rhs(1.0, axpy(dt, k3, y))
     out = axpy(2.0, k2, k1)
-    for o, r, w, a in zip(out, k3, k4, y):
+    del k1
+    k3 = rhs(0.5, axpy(0.5 * dt, k2, y))
+    del k2
+    for o, r in zip(out, k3):
         o += 2.0 * r
+    k4 = rhs(1.0, axpy(dt, k3, y))
+    for o, w, a in zip(out, k4, y):
         o += w
         o *= dt / 6.0
         o += a

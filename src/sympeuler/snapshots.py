@@ -69,13 +69,17 @@ def read_snapshot(path):
 
     try:
         n, N, comps, L = (header[k] for k in ("n", "N", "components", "L"))
+        is_map = header.get("map", False)
         if not all(type(v) is int for v in (n, N, comps)):
             raise TypeError("n, N and components must be integers")
+        if type(L) not in (int, float):
+            raise TypeError("L must be a number")
+        if type(is_map) is not bool:
+            raise TypeError("map must be a boolean")
         grid = GridSpec(n=n, points_per_axis=N, box_length=float(L))
         if not np.isfinite(grid.box_length):
             raise ValueError("L must be finite")
         representation = header["representation"]
-        is_map = bool(header.get("map", False))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SnapshotError(f"bad snapshot header: {exc}") from exc
     if representation != "physical":

@@ -220,17 +220,50 @@ print([repr(v) for v in diagnostics(EulerianState(0.0, u), 3.0)])
 """
 
 
+def _fresh_interpreter(script: str, *args: str, **env: str) -> str:
+    """The standard output of script run by a new python process that
+    imports this checkout's sympeuler."""
+    src = os.path.dirname(os.path.dirname(sympeuler.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True,
+        text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path, **env}).stdout
+
+
 def test_diagnostics_do_not_depend_on_the_blas_thread_count():
     # a BLAS reduction splits its sum by thread, which moved the last
     # digits of this record's p_residual and sdiv_l2
-    src = os.path.dirname(os.path.dirname(sympeuler.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    outs = [subprocess.run(
-        [sys.executable, "-c", ONE_RECORD], capture_output=True, text=True,
-        check=True, env={**os.environ, "PYTHONPATH": path,
-                         "OPENBLAS_NUM_THREADS": str(threads)}).stdout
+    outs = [_fresh_interpreter(ONE_RECORD, OPENBLAS_NUM_THREADS=str(threads))
             for threads in (1, 2)]
     assert outs[0] and outs[0] == outs[1]
+
+
+EULERIAN_THEN_SPLINE = """
+import os, sys
+import numpy as np
+import sympeuler.cli
+from sympeuler.eulerian import integrate
+from sympeuler.grids import GridSpec
+from sympeuler.initial_conditions import random_vector
+from sympeuler.interp import PeriodicInterpolator
+from sympeuler.snapshots import write_snapshot
+out = sys.argv[1]
+u = random_vector(GridSpec(n=1, points_per_axis=32), seed=4, s=3.0)
+run = integrate(u, 0.03, 0.01, os.path.join(out, "diagnostics.csv"))
+write_snapshot(os.path.join(out, "u.snap"), run.state.u)
+print("scipy.ndimage" in sys.modules)
+PeriodicInterpolator(u.grid, u.rhat)(np.zeros((2, 1)))
+print("scipy.ndimage" in sys.modules)
+"""
+
+
+def test_the_eulerian_path_loads_no_scipy(tmp_path):
+    # scipy.ndimage costs ~27 MiB RSS and ~0.2 s of import; only spline
+    # evaluation needs it
+    out = _fresh_interpreter(EULERIAN_THEN_SPLINE, str(tmp_path))
+    assert out.split() == ["False", "True"]
+    assert (tmp_path / "diagnostics.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +311,36 @@ def test_rk4_stage_offsets():
     y1 = rk4(lambda c, y: tuple(np.full_like(a, c * dt) for a in y), y0, dt)
     for a in y1:
         assert np.max(np.abs(a - dt**2 / 2)) <= 1e-16
+
+
+def test_rk4_sums_in_a_fixed_order_and_writes_no_slope():
+    # the solver loops' outputs are pinned bitwise, so the step must keep
+    # this order of operations; the slopes are read-only, so a write to
+    # one (a k may be its stage input) raises
+    dt = 0.3
+    rng = np.random.default_rng(5)
+    y0 = (rng.standard_normal(5),
+          rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
+    inputs, slopes = [], []
+
+    def rhs(c, y):
+        inputs.append((c, y))
+        k = tuple(np.sin(a) * (1.0 + c) + a * a for a in y)
+        for a in k:
+            a.flags.writeable = False
+        slopes.append(k)
+        return k
+
+    y1 = rk4(rhs, y0, dt)
+    assert [c for c, _ in inputs] == [0.0, 0.5, 0.5, 1.0]
+    assert inputs[0][1] is y0
+    for (c, y), k in zip(inputs[1:], slopes):
+        assert all(np.array_equal(a, p * (c * dt) + b)
+                   for a, p, b in zip(y, k, y0))
+    for i, a in enumerate(y1):
+        k1, k2, k3, k4 = (k[i] for k in slopes)
+        want = (((k2 * 2.0 + k1) + 2.0 * k3) + k4) * (dt / 6.0) + y0[i]
+        assert np.array_equal(a, want)
 
 
 def test_rk4_fixed_points(grid64):

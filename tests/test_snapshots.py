@@ -97,11 +97,13 @@ def test_missing_header_key(tmp_path, grid32):
 @pytest.mark.parametrize("change, comps", [
     ({"components": 3}, 3), ({"components": 0}, 0),
     ({"L": float("inf")}, 2), ({"N": 32.9}, 2), ({"n": True}, 2),
+    ({"map": "no"}, 2), ({"map": 1}, 2), ({"L": True}, 2), ({"L": "6.28"}, 2),
 ], ids=["3-components", "0-components", "infinite-L", "fractional-N",
-        "boolean-n"])
+        "boolean-n", "string-map", "integer-map", "boolean-L", "string-L"])
 def test_malformed_header_values(tmp_path, grid32, change, comps):
     # each payload has the size its header implies once read leniently
-    # (int(32.9) = 32, int(True) = 1), so only the header check refuses it
+    # (int(32.9) = 32, int(True) = 1, bool("no") = True, float(True) = 1.0),
+    # so only the header check refuses it
     header = {"n": 1, "N": 32, "L": grid32.box_length,
               "representation": "physical", "components": 2, "map": False,
               **change}
