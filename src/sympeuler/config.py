@@ -82,7 +82,8 @@ _SCHEMA = {
     "output": {"diag_every": (int, 1, ">= 1"),
                "snapshot": (str, "final.snap")},
     "lagrangian": {"dt": (float, 0.01, "> 0")},
-    "experiment": {"seeds": (list, [0, 1, 2]), "t_final": (float, 0.5, "> 0"),
+    "experiment": {"seeds": (list, [0, 1, 2], "non-empty"),
+                   "t_final": (float, 0.5, "> 0"),
                    "decay": (float, 0.8, "> 0"), "norm": (float, 1.0, "> 0"),
                    "K": (int, None, ">= 1"), "R": (float, None, "> 0"),
                    "epsilon": (float, None, "> 0"),
@@ -93,7 +94,8 @@ _EXPECTED = {float: "a number", int: "an integer", str: "a string",
 _RANGES = {"> 0": (lambda v: v > 0, "must be positive"),
            ">= 0": (lambda v: v >= 0, "must be >= 0"),
            ">= 1": (lambda v: v >= 1, "must be >= 1"),
-           "(0, 1]": (lambda v: 0 < v <= 1, "must lie in (0, 1]")}
+           "(0, 1]": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+           "non-empty": (lambda v: len(v) > 0, "must not be empty")}
 
 
 def _ctx(path: str, key: str) -> str:

@@ -63,7 +63,7 @@ def read_snapshot(path):
         line = fh.readline()
         try:
             header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:   # also an integer of over 4300 digits
             raise SnapshotError(f"bad snapshot header: {exc}") from exc
         payload = fh.read()
 
@@ -85,10 +85,16 @@ def read_snapshot(path):
     if representation != "physical":
         raise SnapshotError(f"unknown representation {representation!r}")
     if comps not in ((grid.dim,) if is_map else (1, grid.dim)):
-        raise SnapshotError(f"{comps} components in a {grid.dim}D "
-                            + ("map" if is_map else "field"))
+        raise SnapshotError(f"{comps} components in a "
+                            + ("map" if is_map else "field") + f" with n={n}")
 
-    expected = comps * grid.num_points * _LE64.itemsize
+    # axis by axis, so a large n never forms N^(2n) past the payload size
+    expected = comps * _LE64.itemsize
+    for _ in range(grid.dim):
+        if expected > len(payload):
+            raise SnapshotError(f"payload is {len(payload)} bytes, expected "
+                                f"at least {expected}")
+        expected *= N
     if len(payload) != expected:
         raise SnapshotError(
             f"payload is {len(payload)} bytes, expected {expected}")

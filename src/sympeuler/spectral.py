@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .fields import ScalarField, SkewMatrixField, VectorField
+from .fields import SkewMatrixField
 from .grids import GridSpec
 
 __all__ = [
@@ -155,17 +155,6 @@ def riesz_transform(u, axis: int):
 # norms and inner products
 
 
-def _component_values(u) -> np.ndarray:
-    if isinstance(u, ScalarField):
-        return u.values[np.newaxis]
-    if isinstance(u, VectorField):
-        return u.values
-    if isinstance(u, SkewMatrixField):
-        d = u.grid.dim
-        return u.values.reshape((d * d,) + u.grid.shape)
-    raise TypeError(f"unsupported field type {type(u)!r}")
-
-
 @functools.lru_cache(maxsize=64)
 def _column_multiplicity(grid: GridSpec) -> np.ndarray:
     """Hermitian multiplicity of each last-axis column of the half
@@ -207,20 +196,19 @@ def sobolev_norm(u, s: float) -> float:
 
 
 def lebesgue_norms(u) -> tuple[float, float]:
-    """(L^2, L^inf): grid-quadrature integral norm and grid max-abs."""
-    vals = _component_values(u)
-    l2 = math.sqrt(float(np.sum(vals**2)) * u.grid.cell_volume)
-    linf = float(np.abs(vals).max())
+    """(L^2, L^inf): grid-quadrature integral norm and grid max-abs, over
+    every component; matrix fields sum over all d^2 entries."""
+    l2 = math.sqrt(float(np.sum(u.values**2)) * u.grid.cell_volume)
+    linf = float(np.abs(u.values).max())
     return l2, linf
 
 
 def l2_inner(u, v) -> float:
-    """L^2 box inner product; matrix fields use the full Frobenius sum."""
+    """L^2 box inner product summed over every component; matrix fields
+    sum over all d^2 entries (the full Frobenius sum)."""
     if type(u) is not type(v):
         raise TypeError("mismatched field types")
-    a = _component_values(u)
-    b = _component_values(v)
-    return float(np.sum(a * b)) * u.grid.cell_volume
+    return float(np.sum(u.values * v.values)) * u.grid.cell_volume
 
 
 # ---------------------------------------------------------------------------

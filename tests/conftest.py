@@ -1,5 +1,7 @@
 """Shared fixtures: small grids, a relative-error helper and a one-shot
-sized iterable."""
+sized iterable; the report names how the golden outputs were compared."""
+
+import sys
 
 import numpy as np
 import pytest
@@ -42,3 +44,9 @@ class OneShot:
 
     def __iter__(self):
         return self._items
+
+
+def pytest_terminal_summary(terminalreporter):
+    golden = sys.modules.get("test_golden")
+    if golden is not None:
+        terminalreporter.write_line(f"golden outputs compared by {golden.MODE}")

@@ -107,6 +107,7 @@ _RANGE_CASES = [
     ("experiment.K", 0, 1, "must be >= 1"),
     ("time.cfl", _ABOVE_ONE, 1.0, "must lie in (0, 1]"),
     ("experiment.cfl", _ABOVE_ONE, 1.0, "must lie in (0, 1]"),
+    ("experiment.seeds", [], [0], "must not be empty"),
 ]
 
 
@@ -418,6 +419,7 @@ def test_cli_rejects_retired_project_every(tmp_path, capsys):
     ("oracle2d", {"seeds": [-1]}, "seeds"),
     ("oracle2d", {"t_final": "0.5"}, "t_final"),
     ("oracle2d", {"norm": -1}, "norm"),
+    ("oracle2d", {"seeds": []}, "seeds"),   # would compare nothing
 ])
 def test_cli_experiment_keys_checked_before_any_solve(tmp_path, capsys, kind,
                                                       experiment, key):

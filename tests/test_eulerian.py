@@ -587,8 +587,6 @@ def test_every_public_name_resolves():
         module = importlib.import_module(f"sympeuler.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"sympeuler.{info.name}.{name}"
-    for name in sympeuler.__all__:
-        assert hasattr(sympeuler, name), name
 
 
 # module.name -> why it stays exported although no other module of the
@@ -614,9 +612,10 @@ EXPORTS_WITHOUT_PACKAGE_USE = {
 
 
 def _exports_without_package_use() -> list[str]:
-    """module.name of each __all__ entry (the package's own __init__
-    aside) that no other module names in code: an ast.Name or an
-    attribute, so neither a comment, a string nor an import counts."""
+    """module.name of each __all__ entry that no other module names in
+    code: an ast.Name or an attribute, so neither a comment, a string nor
+    an import counts. The package root is audited too, so an __all__
+    that re-exports names fails here."""
     trees = {p.stem: ast.parse(p.read_text())
              for p in Path(sympeuler.__file__).parent.glob("*.py")}
     used = {module: {n.id if isinstance(n, ast.Name) else n.attr
@@ -624,9 +623,9 @@ def _exports_without_package_use() -> list[str]:
                      if isinstance(n, (ast.Name, ast.Attribute))}
             for module, tree in trees.items()}
     unused = []
-    for module in sorted(trees.keys() - {"__init__"}):
-        for name in getattr(importlib.import_module(f"sympeuler.{module}"),
-                            "__all__", ()):
+    for module in sorted(trees):
+        dotted = "sympeuler" + ("" if module == "__init__" else f".{module}")
+        for name in getattr(importlib.import_module(dotted), "__all__", ()):
             if not any(name in names for other, names in used.items()
                        if other != module):
                 unused.append(f"{module}.{name}")

@@ -94,21 +94,32 @@ def test_missing_header_key(tmp_path, grid32):
         read_snapshot(path)
 
 
+# stands for an integer of 4400 digits, which json.dumps cannot write
+# (Python's 4300-digit limit) and json.loads refuses with a plain ValueError
+HUGE = "<4400 digits>"
+
+
 @pytest.mark.parametrize("change, comps", [
     ({"components": 3}, 3), ({"components": 0}, 0),
     ({"L": float("inf")}, 2), ({"N": 32.9}, 2), ({"n": True}, 2),
     ({"map": "no"}, 2), ({"map": 1}, 2), ({"L": True}, 2), ({"L": "6.28"}, 2),
+    ({"N": HUGE}, 2), ({"n": 4000, "components": 1}, 1),
+    ({"n": 5 * 10**4299, "components": 3}, 3),
 ], ids=["3-components", "0-components", "infinite-L", "fractional-N",
-        "boolean-n", "string-map", "integer-map", "boolean-L", "string-L"])
+        "boolean-n", "string-map", "integer-map", "boolean-L", "string-L",
+        "4400-digit-N", "n-4000", "4300-digit-n"])
 def test_malformed_header_values(tmp_path, grid32, change, comps):
     # each payload has the size its header implies once read leniently
     # (int(32.9) = 32, int(True) = 1, bool("no") = True, float(True) = 1.0),
-    # so only the header check refuses it
+    # so only the header check refuses it. The last three must fail as
+    # SnapshotError too: N^(2n) at n = 4000 has 4817 digits and 2n at the
+    # 4300-digit n has 4301, too many to format in a message
     header = {"n": 1, "N": 32, "L": grid32.box_length,
               "representation": "physical", "components": 2, "map": False,
               **change}
+    head = json.dumps(header).replace(json.dumps(HUGE), "9" * 4400)
     path = tmp_path / "u.snap"
-    path.write_bytes(json.dumps(header).encode() + b"\n"
+    path.write_bytes(head.encode() + b"\n"
                      + np.zeros((comps,) + grid32.shape).tobytes())
     with pytest.raises(SnapshotError):
         read_snapshot(path)
