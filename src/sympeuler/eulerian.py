@@ -16,7 +16,7 @@ even i and +1 for odd i. The compositional chain in operators.py
 (constraint_force, advection_term, eulerian_rhs) is the reference oracle
 for the kernel and for the diagnostics record; both take their
 half-lattice symbols from spectral.py, so they keep the same modes on
-every shell.
+every shell; both run their physical pass strip by strip (_strips).
 
 rk4 is the one RK4 step of the package: the Eulerian run, the geodesic
 integrator and the flow map all call it. The run, Integration, steps u
@@ -161,23 +161,36 @@ def _skew(d: int, out: np.ndarray, scratch: np.ndarray, entry) -> None:
         combine(out[e], scratch, out=out[e])
 
 
-@functools.lru_cache(maxsize=4)
-def _work_buffers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scratch arrays (spec, phys, prod) shared by the kernel and the
-    diagnostics record, neither of which is reentrant.
+_STRIP_POINTS = 8192    # grid points per strip: 32 rows at 2D N=256
 
-    spec (complex, half lattice) and phys hold u in rows [0, d), J in rows
+
+def _strips(grid: GridSpec) -> Iterator[tuple[int, int]]:
+    """First-axis row ranges [r0, r1) of about _STRIP_POINTS points each."""
+    N = grid.points_per_axis
+    rows = max(1, _STRIP_POINTS // N ** (grid.dim - 1))
+    return ((r0, min(r0 + rows, N)) for r0 in range(0, N, rows))
+
+
+@functools.lru_cache(maxsize=4)
+def _work_buffers(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Scratch arrays (spec, phys, prod, planes) shared by the kernel and
+    the diagnostics record, neither of which is reentrant.
+
+    spec (complex, half lattice) holds u in rows [0, d), J in rows
     [d, d + d^2) (row d + d*i + j is J_ij = d_j u_i) and grad div u in the
-    last d rows; prod holds (u.grad)u, then the strain and the defect skew
-    entries, and one scratch row. Reusing them pays: a fresh multi-MiB
+    last d rows, phys the same on one strip (_strips); prod, a strip too,
+    (u.grad)u, the strain and defect skew entries and a scratch row; planes
+    the record's skew entries and sdiv. Reusing them pays: a fresh multi-MiB
     FFT output costs about as much as the transform itself, and even a
     temporary plane costs more than the arithmetic that fills it.
     """
     d = grid.dim
     rows = 2 * d + d * d
+    strip = (max(r1 - r0 for r0, r1 in _strips(grid)),) + grid.shape[1:]
     return (np.empty((rows,) + _half_shape(grid), dtype=complex),
-            np.empty((rows,) + grid.shape),
-            np.empty((d * d + 1,) + grid.shape))
+            np.empty((rows,) + strip),
+            np.empty((d * d + 1,) + strip),
+            np.empty((d * (d - 1) // 2 + 1,) + grid.shape))
 
 
 class _SkewKernel:
@@ -190,10 +203,11 @@ class _SkewKernel:
     omega is a signed permutation, (omega^T X)_ij = sigma_i X_{p(i), j}
     with p(i) = i^1, so only the d(d-1)/2 upper entries of S are formed,
     in physical space, and the final omega contraction is a sign and an
-    index. Per call, from the input half spectrum: one batched inverse
-    transform of u, J and (with the defect) grad div u, and one batched
-    rfftn of the advection and skew entries, whose masked combination is
-    the output spectrum; 12 planes in 2D with the defect. Only the first
+    index. Per call, from the input half spectrum: the full-axis inverse
+    passes of u, J and (with the defect) grad div u as one batch, per strip
+    (_strips) their irfft, the advection and skew entries and their rfft,
+    then the forward full-axis passes, whose masked combination is the
+    output spectrum; 12 planes in 2D with the defect. Only the first
     dealias_band(N) + 1 columns of the last axis hold retained modes, and
     the full-axis passes of both batches skip the rest (86 of 129 run at
     N=256). The defect term is skipped when chi * Delta^{-1} vanishes on
@@ -238,8 +252,9 @@ class _SkewKernel:
     def __call__(self, u_hat: np.ndarray, advect: bool) -> np.ndarray:
         grid, d, c = self.grid, self.grid.dim, self.cols
         n_pairs = len(self.pairs)
-        spec, phys, prod = _work_buffers(grid)
+        spec, phys, prod, _ = _work_buffers(grid)
         n_inv = d + d * d + (d if self.defect else 0)
+        n_out = d + n_pairs * (2 if self.defect else 1)
         spec, phys = spec[:n_inv], phys[:n_inv]
         # the columns past c stay zero through the full-axis passes
         spec[..., c:] = 0.0
@@ -257,26 +272,24 @@ class _SkewKernel:
         # the inverse batch in place: irfftn would allocate its complex
         # intermediate afresh on every call
         np.fft.ifftn(kept, axes=self.axes[:-1], out=kept)
-        np.fft.irfft(spec, n=grid.points_per_axis, axis=-1, out=phys)
-        u = phys[:d]
-        J = phys[d:d + d * d].reshape((d, d) + grid.shape)
-
-        scratch = prod[-1]
-        prod = prod[:d + n_pairs * (2 if self.defect else 1)]
-        if advect:
-            for i in range(d):
-                np.einsum("j...,j...->...", u, J[i], out=prod[i])
-        _skew(d, prod[d:d + n_pairs], scratch, lambda a, b, o: np.einsum(
-            "k...,k...->...", J[a], J[:, b], out=o))
-        if self.defect:
-            g = phys[d + d * d:]
-            _skew(d, prod[d + n_pairs:], scratch,
-                  lambda a, b, o: np.multiply(u[a], g[b], out=o))
-        # spec is free again and takes the forward batch: rfft along the
-        # last axis, then the full-axis passes on the retained columns
         first = 0 if advect else d
-        np.fft.rfft(prod[first:], axis=-1, out=spec[first:len(prod)])
-        prod_hat = spec[:len(prod), ..., :c]
+        for r0, r1 in _strips(grid):
+            # the strip's rfft overwrites only spec rows its irfft has read
+            ph, pr = phys[:, :r1 - r0], prod[:, :r1 - r0]
+            np.fft.irfft(spec[:, r0:r1], n=grid.points_per_axis, axis=-1,
+                         out=ph)
+            u, J = ph[:d], ph[d:d + d * d].reshape((d, d) + ph.shape[1:])
+            if advect:
+                for i in range(d):
+                    np.einsum("j...,j...->...", u, J[i], out=pr[i])
+            _skew(d, pr[d:d + n_pairs], pr[-1], lambda a, b, o: np.einsum(
+                "k...,k...->...", J[a], J[:, b], out=o))
+            if self.defect:
+                g = ph[d + d * d:]
+                _skew(d, pr[d + n_pairs:n_out], pr[-1],
+                      lambda a, b, o: np.multiply(u[a], g[b], out=o))
+            np.fft.rfft(pr[first:n_out], axis=-1, out=spec[first:n_out, r0:r1])
+        prod_hat = spec[:n_out, ..., :c]
         np.fft.fftn(prod_hat[first:], axes=self.axes[:-1],
                     out=prod_hat[first:])
         skew_hat = prod_hat[d:d + n_pairs]
@@ -285,7 +298,7 @@ class _SkewKernel:
             skew_hat += np.multiply(self.chi, defect_hat, out=defect_hat)
         # a fresh output: the work buffers are overwritten by the next call
         out = np.zeros((d,) + spec.shape[1:], dtype=complex)
-        term = spec[len(prod), ..., :c]
+        term = spec[n_out, ..., :c]
         for j in range(d):
             if advect:
                 np.multiply(prod_hat[j], self.neg_mask, out=out[j, ..., :c])
@@ -318,7 +331,7 @@ def diagnostics(state: EulerianState, s: float,
     between successive records, from zero at the first (prev None).
 
     Reads the state's half spectrum u.rhat: L^2 and H^s are Parseval sums
-    on it, and one batched inverse transform of its Jacobian feeds the
+    on it, and its Jacobian, whose last-axis irfft runs per strip, feeds the
     deformation residual, the symplectic divergence and |grad u|_inf.
     Records see un-dealiased fields, so the derivative symbols are the
     Nyquist-zeroed ones of spectral.py, as in operators.jacobian.
@@ -329,35 +342,39 @@ def diagnostics(state: EulerianState, s: float,
     hat = u.rhat
     l2 = math.sqrt(_sobolev_sq(grid, hat, 0.0))
     hs = math.sqrt(_sobolev_sq(grid, hat, s))
-    spec, phys, work = _work_buffers(grid)
+    spec, phys, work, planes = _work_buffers(grid)
     deriv = _half_derivative_symbols(grid)
     jac_hat = spec[d:d + d * d]
     for j in range(d):
         np.multiply(hat, deriv[j], out=jac_hat[j::d])
     np.fft.ifftn(jac_hat, axes=tuple(range(-d, -1)), out=jac_hat)
-    J = np.fft.irfft(jac_hat, n=grid.points_per_axis, axis=-1,
-                     out=phys[d:d + d * d]).reshape((d, d) + grid.shape)
     # P = omega^T J - J^T omega: _skew's entries differ from P's upper ones
-    # only in sign, and both triangles count in the Frobenius norm; the
-    # planes go to the kernel's product rows, free between calls. Squares
-    # summed by einsum, not vdot: OpenBLAS splits vdot's sum by thread, so
-    # the last digits would follow the BLAS thread count
-    entries = work[:d * (d - 1) // 2]
-    _skew(d, entries, work[-1], lambda a, b, o: np.copyto(o, J[a, b]))
+    # only in sign, and both triangles count in the Frobenius norm. They and
+    # sdiv fill whole planes, summed at once by einsum (vdot's sums follow
+    # the BLAS thread count); a max folds over strips exactly
+    entries, sdiv = planes[:-1], planes[-1]
+    peak = 0.0
+    for r0, r1 in _strips(grid):
+        ph, w = phys[d:d + d * d, :r1 - r0], work[:, :r1 - r0]
+        J = np.fft.irfft(jac_hat[:, r0:r1], n=grid.points_per_axis, axis=-1,
+                         out=ph).reshape((d, d) + ph.shape[1:])
+        _skew(d, entries[:, r0:r1], w[-1],
+              lambda a, b, o: np.copyto(o, J[a, b]))
+        strip = np.subtract(J[0, 1], J[1, 0], out=sdiv[r0:r1])
+        for a in range(1, grid.n):
+            strip += J[2 * a, 2 * a + 1]
+            strip -= J[2 * a + 1, 2 * a]
+        peak = np.maximum(peak, np.einsum("ij...,ij...->...", J, J,
+                                          out=w[0]).max())
     p_sq = 0.0
     for entry in entries:
         p_sq += float(np.einsum("i,i->", entry.ravel(), entry.ravel()))
     p_res = math.sqrt(2.0 * p_sq * grid.cell_volume)
-    sdiv = np.subtract(J[0, 1], J[1, 0], out=work[1])
-    for a in range(1, grid.n):
-        sdiv += J[2 * a, 2 * a + 1]
-        sdiv -= J[2 * a + 1, 2 * a]
     flat = sdiv.ravel()
     sdiv_l2 = math.sqrt(float(np.einsum("i,i->", flat, flat))
                         * grid.cell_volume)
     sdiv_linf = float(max(sdiv.max(), -sdiv.min()))
-    integrand = math.sqrt(float(
-        np.einsum("ij...,ij...->...", J, J, out=work[0]).max()))
+    integrand = math.sqrt(float(peak))
     if prev is None:
         integral = 0.0
     else:

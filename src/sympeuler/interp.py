@@ -52,7 +52,10 @@ class PeriodicInterpolator:
         padded = np.zeros(self._lead + fine_half, dtype=complex)
         padded[(Ellipsis,) + dst] = hat[(Ellipsis,) + src] * multiplier
         fine_shape = tuple(n * _UPSAMPLE for n in grid.shape)
-        coeffs = np.fft.irfftn(padded, s=fine_shape, axes=axes)
+        # irfftn's passes in its order, the full-axis ones in place on padded
+        for axis in axes[:-1]:
+            np.fft.ifft(padded, axis=axis, out=padded)
+        coeffs = np.fft.irfft(padded, n=fine_shape[-1], axis=-1)
         # one spline coefficient array per component
         self._coeffs = coeffs.reshape((-1,) + fine_shape)
         # physical coordinate -> fractional index on the fine grid
@@ -84,7 +87,7 @@ def _prefilter_padding(grid: GridSpec):
     block, and the fine half-spectrum shape. Along a full axis the
     native Nyquist coefficient goes to both +-N/2 with weight 1/2, as in
     `spectral.spectral_upsample`; along the last (half) axis only +N/2 is
-    stored and irfftn supplies its conjugate. The multiplier also holds
+    stored and irfft supplies its conjugate. The multiplier also holds
     the inverse quintic B-spline symbol 120 / (66 + 52 cos t + 2 cos 2t),
     t = 2 pi k / (2N), and the factor 2^d of the finer inverse transform.
     """

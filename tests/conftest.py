@@ -47,6 +47,7 @@ class OneShot:
 
 
 def pytest_terminal_summary(terminalreporter):
-    golden = sys.modules.get("test_golden")
+    golden = sys.modules.get("golden")
     if golden is not None:
-        terminalreporter.write_line(f"golden outputs compared by {golden.MODE}")
+        terminalreporter.write_line(
+            f"golden outputs compared by {golden.load()[2]}")

@@ -2,9 +2,12 @@
 
 `tests/golden.json` holds, for each command in COMMANDS, the sha256 of its
 standard output and of every file it writes, the numbers parsed from each
-of them, and the numpy and scipy versions and the machine that wrote them.
-`tests/test_golden.py` reruns the commands and compares. A change that
-moves outputs on purpose regenerates the file from the root of a checkout:
+of them, the twelve criterion lines of `sympeuler verify` with their
+seconds stripped, and the numpy and scipy versions and the machine that
+wrote them. `tests/test_golden.py` reruns the commands and compares;
+`tests/test_acceptance.py` compares each criterion's line. A change that
+moves outputs on purpose regenerates the file from the root of a checkout
+(about 80 s, most of it `verify`):
 
     python tests/golden.py
 
@@ -67,6 +70,10 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS",
 _NUMBER = re.compile(rb"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 # payload values kept per snapshot, evenly strided
 SNAPSHOT_SAMPLES = 256
+# "criterion  3 conservation T=1: PASS (5.3s <= 300s) ...": the seconds
+# follow the host, the rest of the line does not
+_VERIFY_LINE = re.compile(r"criterion +(\d+) [^:]*: (PASS|FAIL) ")
+_SECONDS = re.compile(r"\(\d+\.\ds <= \d+s\) ")
 
 
 def environment() -> dict:
@@ -75,23 +82,40 @@ def environment() -> dict:
             "machine": platform.machine()}
 
 
-def run(name: str, workdir: Path) -> dict[str, bytes]:
-    """Runs one command in a fresh interpreter with one BLAS thread, on
-    this checkout's sources; returns its stdout and the files it wrote,
-    by name."""
-    argv, config = COMMANDS[name]
-    cfg, out = workdir / "run.yaml", workdir / "out"
-    cfg.write_text(yaml.safe_dump(config))
+def load() -> tuple[dict, bool, str]:
+    """The stored file; whether its outputs are compared byte for byte,
+    which holds where numpy, scipy and the machine are the ones that
+    wrote it; and the name of that comparison mode."""
+    stored = json.loads(GOLDEN.read_text())
+    exact = all(stored[key] == value for key, value in environment().items())
+    mode = ("sha256 of every byte" if exact else
+            "parsed numbers to a relative 1e-12, since the file was written "
+            "with numpy {numpy}, scipy {scipy} on {machine}".format(**stored))
+    return stored, exact, mode
+
+
+def _cli(*argv: str) -> bytes:
+    """The stdout of `sympeuler argv` in a fresh interpreter with one BLAS
+    thread, on this checkout's sources."""
     path = os.pathsep.join(filter(None, [str(SRC),
                                          os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "sympeuler.cli", *argv, "--config", str(cfg),
-         "--out", str(out)], capture_output=True,
+        [sys.executable, "-m", "sympeuler.cli", *argv], capture_output=True,
         env={**os.environ, **ONE_THREAD, "PYTHONPATH": path})
     if proc.returncode != 0:
-        raise RuntimeError(f"{name} exited {proc.returncode}: "
+        raise RuntimeError(f"{argv[0]} exited {proc.returncode}: "
                            f"{proc.stderr.decode(errors='replace')}")
-    return {"stdout": proc.stdout,
+    return proc.stdout
+
+
+def run(name: str, workdir: Path) -> dict[str, bytes]:
+    """Runs one command; returns its stdout and the files it wrote, by
+    name."""
+    argv, config = COMMANDS[name]
+    cfg, out = workdir / "run.yaml", workdir / "out"
+    cfg.write_text(yaml.safe_dump(config))
+    stdout = _cli(*argv, "--config", str(cfg), "--out", str(out))
+    return {"stdout": stdout,
             **{p.name: p.read_bytes() for p in sorted(out.iterdir())}}
 
 
@@ -122,6 +146,22 @@ def record(output: str, data: bytes) -> dict:
             "numbers": [float(m) for m in _NUMBER.findall(text)] + samples}
 
 
+def verify_lines(stdout: str) -> dict[str, str]:
+    """The criterion lines of `sympeuler verify` output, by criterion
+    number, each with its seconds stripped."""
+    lines = {}
+    for line in stdout.splitlines():
+        match = _VERIFY_LINE.match(line)
+        if match:
+            lines[match[1]] = _SECONDS.sub("", line, count=1)
+    return lines
+
+
+def verdict(line: str) -> str:
+    """PASS or FAIL, as a criterion line reads."""
+    return _VERIFY_LINE.match(line)[2]
+
+
 def number_mismatches(got: dict, want: dict, rel: float = 1e-12) -> list[str]:
     """Where two records disagree once read as numbers: the text around
     the numbers, their count, or a number off by more than rel times the
@@ -141,13 +181,16 @@ def number_mismatches(got: dict, want: dict, rel: float = 1e-12) -> list[str]:
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         runs = run_all(Path(tmp))
+    verify = verify_lines(_cli("verify").decode())
     golden = {**environment(),
               "commands": {name: {output: record(output, data)
                                   for output, data in outputs.items()}
-                           for name, outputs in runs.items()}}
+                           for name, outputs in runs.items()},
+              "verify": verify}
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"wrote {GOLDEN}: {len(runs)} commands, "
-          f"{sum(map(len, runs.values()))} outputs")
+          f"{sum(map(len, runs.values()))} outputs, "
+          f"{len(verify)} verify lines")
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import sympeuler
+import sympeuler.eulerian as eulerian
 
 from conftest import rel_err
 from sympeuler.eulerian import (
@@ -161,6 +162,44 @@ def test_kernel_spectrum_does_not_alias_work_buffers(grid64):
     fast_force(w, 2.0)
     diagnostics(EulerianState(0.0, w), 3.0)
     assert np.array_equal(first.values, fast_rhs(u).values)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(n=1, points_per_axis=64),
+                                  GridSpec(n=2, points_per_axis=8)],
+                         ids=["2d", "4d"])
+def test_strip_size_changes_no_bit(grid, monkeypatch):
+    # the physical pass runs strip by strip: every 1D transform and every
+    # pointwise product sees the same inputs whatever the strip size, and
+    # the record sums its squares over whole planes
+    u, N = random_vector(grid, seed=48), grid.points_per_axis
+
+    def outputs():
+        eulerian._work_buffers.cache_clear()
+        record = diagnostics(EulerianState(0.0, u), 3.0)
+        return [fast_rhs(u).rhat.tobytes(), fast_force(u, 2.0).rhat.tobytes(),
+                np.array(record).tobytes()]
+
+    assert len(list(eulerian._strips(grid))) == 1
+    whole = outputs()
+    try:
+        # three rows a strip, the last strip shorter
+        monkeypatch.setattr(eulerian, "_STRIP_POINTS", 3 * N ** (grid.dim - 1))
+        assert len(list(eulerian._strips(grid))) == (N + 2) // 3
+        assert outputs() == whole
+    finally:
+        monkeypatch.undo()
+        eulerian._work_buffers.cache_clear()
+
+
+@pytest.mark.parametrize("grid, full_grid_mib", [
+    (GridSpec(n=1, points_per_axis=256), 10.53),
+    (GridSpec(n=2, points_per_axis=24), 169.6)], ids=["2d-256", "4d-24"])
+def test_workspace_is_a_strip_not_a_grid(grid, full_grid_mib):
+    # with phys and prod spanning the grid the workspace was full_grid_mib;
+    # np.empty touches no page, and the uncached call keeps the 4D buffers
+    # out of the cache
+    total = sum(b.nbytes for b in eulerian._work_buffers.__wrapped__(grid))
+    assert total <= 0.6 * full_grid_mib * 2**20
 
 
 # ---------------------------------------------------------------------------

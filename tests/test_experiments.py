@@ -176,7 +176,7 @@ def test_oracle_shares_no_code_with_the_kernel():
     # the oracle checks the fused kernel, so it must not step or evaluate
     # through it: no RK4 stepper, kernel entry, kernel cache or buffers
     kernel_names = {"rk4", "fast_rhs", "fast_force", "_kernel", "_SkewKernel",
-                    "_work_buffers"}
+                    "_work_buffers", "_strips"}
     assert not _referenced_names(oracle_2d_solve.__code__) & kernel_names
 
 

@@ -7,18 +7,11 @@ to a relative 1e-12 instead. The end of the pytest report names the mode
 that ran; neither mode skips.
 """
 
-import json
-
 import pytest
 
 import golden
 
-GOLDEN = json.loads(golden.GOLDEN.read_text())
-BYTES = all(GOLDEN[key] == value
-            for key, value in golden.environment().items())
-MODE = ("sha256 of every byte" if BYTES else
-        "parsed numbers to a relative 1e-12, since the file was written "
-        "with numpy {numpy}, scipy {scipy} on {machine}".format(**GOLDEN))
+GOLDEN, BYTES, MODE = golden.load()
 
 
 @pytest.fixture(scope="module")
